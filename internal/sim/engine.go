@@ -4,19 +4,22 @@
 // executes events in (time, sequence) order. Simulated activities are
 // expressed as processes of two kinds:
 //
-//   - Goroutine processes (Proc): ordinary Go functions that run on their
-//     own goroutine but are scheduled cooperatively, one at a time, by the
-//     engine. A process blocks by calling one of the waiting primitives
-//     (Advance, Wait, Recv, Acquire); control then returns to the engine,
-//     which resumes the process when the corresponding event fires. Each
-//     resumption costs two goroutine context switches. This is the API for
+//   - Coroutine processes (Proc): ordinary Go functions, each running as an
+//     iter.Pull coroutine the engine resumes with next() and the process
+//     leaves with yield. A process blocks by calling one of the waiting
+//     primitives (Advance, Wait, Recv, Acquire); control returns to the
+//     engine, which resumes the process when the corresponding event fires.
+//     A resumption is two coroutine switches: a direct hand-off between two
+//     goroutines, with no scheduler pass and no channel. Stop abandons
+//     suspended processes and Reset unwinds them; a panic in a body is
+//     caught inside the coroutine and reported by Run. This is the API for
 //     user-authored algorithms, whose control flow reads naturally as
 //     straight-line code.
 //
 //   - State-machine processes (StepProc): explicit Step functions the event
-//     loop calls directly, with no goroutine and no per-resume context
-//     switch. The engine's hottest built-in process types (the membank bank
-//     accessors) use this form; see stepproc.go.
+//     loop calls directly, with no coroutine and no switch at all. The
+//     engine's hottest built-in process types (the membank bank accessors)
+//     use this form; see stepproc.go.
 //
 // Both kinds interleave in the same (time, seq) order, so converting a
 // process between forms leaves a simulation's results byte-identical.
@@ -106,7 +109,6 @@ type Engine struct {
 	free    []*event // recycled event structs, refilled as events fire
 	procs   []*Proc
 	steps   []*StepProc
-	yieldCh chan *Proc
 	current *Proc
 	stopped bool
 	nEvents uint64
@@ -126,7 +128,7 @@ func NewEngine() *Engine { return NewEngineSched(DefaultScheduler) }
 // NewEngineSched returns an empty engine at time zero using the named
 // scheduler.
 func NewEngineSched(kind Scheduler) *Engine {
-	e := &Engine{yieldCh: make(chan *Proc)}
+	e := &Engine{}
 	if kind == SchedCalendar {
 		e.cal = newCalQueue()
 	}
@@ -159,11 +161,12 @@ func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
 // Reset returns the engine to time zero so it can be reused for a fresh
 // simulation without reallocating its queue storage or event free list.
-// Goroutine processes still blocked — abandoned by Stop, or left mid-wait by
-// a caller discarding a deadlocked run — are terminated: each one is resumed
-// with a kill sentinel that unwinds its goroutine (running its defers), so
-// Stop→Reset→reuse leaks nothing. Events() deliberately survives Reset (see
-// its doc); the clock, queues, and process tables are cleared.
+// Coroutine processes not yet finished — abandoned by Stop, left mid-wait by
+// a caller discarding a deadlocked run, or never started — are terminated:
+// a suspended one unwinds through a kill sentinel (running its defers), an
+// unstarted one is discarded, so Stop→Reset→reuse leaks nothing. Events()
+// deliberately survives Reset (see its doc); the clock, queues, and process
+// tables are cleared.
 func (e *Engine) Reset() {
 	for _, p := range e.procs {
 		if !p.done {
@@ -192,13 +195,13 @@ func (e *Engine) Reset() {
 	e.stopped = false
 }
 
-// kill terminates a blocked goroutine process: it is resumed with the killed
-// flag set, panics with the kill sentinel at its block point, and its spawn
-// wrapper recovers the sentinel and yields back one final time.
+// kill terminates a process that has not finished. Stopping its coroutine
+// makes the yield it is suspended in return false, so block panics with the
+// kill sentinel, the body's defers run, and Spawn's wrapper recovers the
+// sentinel; a process that never started is discarded without running.
 func (e *Engine) kill(p *Proc) {
-	p.killed = true
-	p.resume <- struct{}{}
-	<-e.yieldCh
+	p.stop()
+	p.done = true
 }
 
 // newEvent takes a struct off the free list or allocates one.
@@ -459,7 +462,6 @@ func (e *Engine) runProc(p *Proc) {
 	}
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.yieldCh
+	p.next()
 	e.current = prev
 }

@@ -2,27 +2,36 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
-// procKill is the sentinel the engine panics a process goroutine with to
-// terminate it at its block point (Reset terminating processes abandoned by
-// Stop or a discarded deadlock). Spawn's deferred handler recognises it and
-// unwinds the goroutine without recording an error.
+// procKill is the sentinel a killed process panics with at its block point
+// (Reset terminating processes abandoned by Stop or a discarded deadlock).
+// Spawn's deferred handler recognises it and unwinds the coroutine, running
+// the body's defers, without recording an error.
 type procKill struct{}
 
 // Proc is a simulated process: a Go function scheduled cooperatively by the
 // engine. All methods on Proc must be called from within the process's own
 // function; they are not safe to call from outside the simulation.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
-	err    error
-	rng    *rand.Rand
+	e    *Engine
+	id   int
+	name string
+
+	// The body runs as an iter.Pull coroutine: next transfers control into
+	// it until it yields or returns, yield (valid once the body has started)
+	// transfers control back to whoever called next, and stop makes a
+	// suspended yield return false — or, before the first next, discards the
+	// body unrun.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	done bool
+	err  error
+	rng  *rand.Rand
 
 	// waitReason names the primitive the process is blocked on ("" while
 	// runnable or merely advancing time); blockedAt is when it yielded.
@@ -35,15 +44,13 @@ type Proc struct {
 // Spawn creates a process named name running fn, starting at the current
 // simulated time. fn receives the Proc as its scheduling handle.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{e: e, id: len(e.procs), name: name}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// A panic must not escape the coroutine: iter.Pull would re-raise it
+		// from next, inside the event loop. It is recorded on the process
+		// and reported by Run instead.
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isKill := r.(procKill); !isKill {
@@ -51,15 +58,9 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 			p.done = true
-			e.yieldCh <- p
 		}()
-		if p.killed {
-			// Terminated before its first step (Stop before the spawn
-			// event fired): unwind without running the body.
-			return
-		}
 		fn(p)
-	}()
+	})
 	e.scheduleProc(e.now, p)
 	return p
 }
@@ -96,9 +97,7 @@ func (p *Proc) Done() bool { return p.done }
 // advance leaves it empty.
 func (p *Proc) block() {
 	p.blockedAt = p.e.now
-	p.e.yieldCh <- p
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKill{})
 	}
 	if p.waitReason != "" {

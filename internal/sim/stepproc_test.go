@@ -191,9 +191,12 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// TestStopResetNoGoroutineLeak is the satellite regression test: Stop
-// abandons blocked goroutine processes; Reset must terminate them so the
-// engine can be reused without the process count growing run over run.
+// TestStopResetNoGoroutineLeak: every way a run can leave a process
+// unfinished must be cleaned up by Reset, so an engine reused run over run
+// does not accumulate suspended coroutines (each one is a goroutine to the
+// runtime). Even rounds end in Stop with ten processes blocked mid-body and
+// three that never started — spawned by the stopping event itself, so their
+// first resume never fires; odd rounds end in a deadlock.
 func TestStopResetNoGoroutineLeak(t *testing.T) {
 	base := countGoroutines()
 	e := NewEngine()
@@ -202,9 +205,17 @@ func TestStopResetNoGoroutineLeak(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			e.Spawn("waiter", func(p *Proc) { s.Wait(p) })
 		}
-		e.At(5, func() { e.Stop() })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+		if round%2 == 0 {
+			e.At(5, func() {
+				e.Stop()
+				for i := 0; i < 3; i++ {
+					e.Spawn("never", func(p *Proc) { t.Error("process spawned after Stop ran") })
+				}
+			})
+		}
+		err := e.Run()
+		if _, deadlock := err.(*DeadlockError); deadlock != (round%2 == 1) {
+			t.Fatalf("round %d: Run error = %v", round, err)
 		}
 		e.Reset()
 	}
@@ -215,7 +226,7 @@ func TestStopResetNoGoroutineLeak(t *testing.T) {
 			return
 		}
 	}
-	t.Errorf("goroutines after 20 Stop+Reset rounds = %d, want <= %d", got, base)
+	t.Errorf("goroutines after 20 Stop/deadlock+Reset rounds = %d, want <= %d", got, base)
 }
 
 // TestStopBeforeFirstStepThenReset kills a process that never got to run:
