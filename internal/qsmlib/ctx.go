@@ -3,7 +3,6 @@ package qsmlib
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -74,6 +73,12 @@ type qctx struct {
 	outReqs  [][]getReq
 	selfReqs []getReq
 	pending  []pendingGet
+	inPuts   [][]putSeg // per source: puts received this phase, until applied
+
+	// Scratch of putScattered/getScattered: the owner of each index of the
+	// current call, and per-owner counts turned into fill cursors.
+	ownerOf  []int32
+	ownerPos []int
 
 	commCycles sim.Time
 	timeline   []PhaseSpan
@@ -106,6 +111,9 @@ func newQctx(m *Machine, n *machine.Node) *qctx {
 		comm:    msg.NewComm(n, m.opts.SW),
 		outPuts: make([][]putSeg, p),
 		outReqs: make([][]getReq, p),
+		inPuts:  make([][]putSeg, p),
+
+		ownerPos: make([]int, p),
 	}
 	if rec := m.opts.Obs; rec != nil {
 		c.rec = rec
@@ -227,25 +235,50 @@ func (c *qctx) PutIndexed(h core.Handle, idx []int, src []int64) {
 	c.putScattered(a, h, idx, src)
 }
 
-func (c *qctx) putScattered(a *array, h core.Handle, idx []int, src []int64) {
-	byOwner := map[int]*putSeg{}
+// bucketByOwner is the counting pass shared by putScattered and
+// getScattered: it records each index's owner in c.ownerOf and leaves in
+// c.ownerPos[o] the position, within one array of len(idx) slots grouped by
+// ascending owner, where owner o's first element goes.
+func (c *qctx) bucketByOwner(a *array, idx []int) {
+	if cap(c.ownerOf) < len(idx) {
+		c.ownerOf = make([]int32, len(idx))
+	}
+	c.ownerOf = c.ownerOf[:len(idx)]
+	clear(c.ownerPos)
 	for i, ix := range idx {
 		o := a.lay.OwnerOf(ix)
-		seg := byOwner[o]
-		if seg == nil {
-			seg = &putSeg{h: h, off: -1}
-			byOwner[o] = seg
+		c.ownerOf[i] = int32(o)
+		c.ownerPos[o]++
+	}
+	start := 0
+	for o, n := range c.ownerPos {
+		c.ownerPos[o] = start
+		start += n
+	}
+}
+
+// putScattered splits a scattered write into one segment per owner, in
+// ascending owner order with each segment's elements in input order. All
+// segments of the call share one exact-size backing array per field.
+func (c *qctx) putScattered(a *array, h core.Handle, idx []int, src []int64) {
+	c.bucketByOwner(a, idx)
+	segIdx := make([]int, len(idx))
+	segVals := make([]int64, len(idx))
+	for i, o := range c.ownerOf {
+		k := c.ownerPos[o]
+		segIdx[k] = idx[i]
+		segVals[k] = src[i]
+		c.ownerPos[o] = k + 1
+	}
+	// ownerPos[o] is now the end of owner o's run; its start is the end of
+	// the previous owner's.
+	start := 0
+	for o, end := range c.ownerPos {
+		if end > start {
+			c.outPuts[o] = append(c.outPuts[o], putSeg{h: h, off: -1,
+				idx: segIdx[start:end:end], vals: segVals[start:end:end]})
 		}
-		seg.idx = append(seg.idx, ix)
-		seg.vals = append(seg.vals, src[i])
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		c.outPuts[o] = append(c.outPuts[o], *byOwner[o])
+		start = end
 	}
 }
 
@@ -285,30 +318,26 @@ func (c *qctx) GetIndexed(h core.Handle, idx []int, dst []int64) {
 	c.getScattered(a, h, idx, dst)
 }
 
+// getScattered is putScattered's counterpart for reads: one request per
+// owner, ascending, carrying the owner's indices and the positions in dst
+// their values land in.
 func (c *qctx) getScattered(a *array, h core.Handle, idx []int, dst []int64) {
-	type group struct {
-		idx []int
-		pos []int
+	c.bucketByOwner(a, idx)
+	reqIdx := make([]int, len(idx))
+	reqPos := make([]int, len(idx))
+	for i, o := range c.ownerOf {
+		k := c.ownerPos[o]
+		reqIdx[k] = idx[i]
+		reqPos[k] = i
+		c.ownerPos[o] = k + 1
 	}
-	byOwner := map[int]*group{}
-	for i, ix := range idx {
-		o := a.lay.OwnerOf(ix)
-		g := byOwner[o]
-		if g == nil {
-			g = &group{}
-			byOwner[o] = g
+	start := 0
+	for o, end := range c.ownerPos {
+		if end > start {
+			c.addGet(o, getReq{h: h, off: -1, idx: reqIdx[start:end:end]},
+				pendingGet{dst: dst, pos: reqPos[start:end:end]})
 		}
-		g.idx = append(g.idx, ix)
-		g.pos = append(g.pos, i)
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		g := byOwner[o]
-		c.addGet(o, getReq{h: h, off: -1, idx: g.idx}, pendingGet{dst: dst, pos: g.pos})
+		start = end
 	}
 }
 
@@ -445,20 +474,13 @@ func (c *qctx) Sync() {
 	}
 
 	// 3. Receive data; serve get replies from pre-phase state.
-	type incoming struct {
-		src  int
-		puts []putSeg
-	}
-	var in []incoming
 	for r := 1; r < p; r++ {
 		peer := (me - r + p) % p
 		if !expectData[peer] {
 			continue
 		}
 		sm := c.comm.Recv(peer, tagData).Payload.(*syncMsg)
-		if len(sm.puts) > 0 {
-			in = append(in, incoming{src: peer, puts: sm.puts})
-		}
+		c.inPuts[peer] = sm.puts
 		if len(sm.reqs) > 0 {
 			rm := &replyMsg{}
 			w := 0
@@ -499,9 +521,9 @@ func (c *qctx) Sync() {
 
 	// 6. Apply writes in source order (self included), so concurrent writes
 	// to one word resolve deterministically.
-	sort.Slice(in, func(i, j int) bool { return in[i].src < in[j].src })
+	c.inPuts[me] = c.outPuts[me]
 	applied := 0
-	apply := func(segs []putSeg) {
+	for src, segs := range c.inPuts {
 		for _, s := range segs {
 			a := c.m.arr(s.h)
 			if s.idx == nil {
@@ -513,17 +535,7 @@ func (c *qctx) Sync() {
 			}
 			applied += len(s.vals)
 		}
-	}
-	ii := 0
-	for src := 0; src < p; src++ {
-		if src == me {
-			apply(c.outPuts[me])
-			continue
-		}
-		if ii < len(in) && in[ii].src == src {
-			apply(in[ii].puts)
-			ii++
-		}
+		c.inPuts[src] = nil
 	}
 	if applied > 0 {
 		c.node.Busy(sim.Time(localPerWord * applied))
