@@ -2,7 +2,7 @@ package algorithms
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -111,7 +111,7 @@ func (a KSelect) Program() core.Program {
 		if id == 0 {
 			rest := make([]int64, total)
 			ctx.ReadLocal(stage, 0, rest)
-			sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+			slices.Sort(rest)
 			ctx.Compute(cpu.BlockQuickSort(len(rest)))
 			ctx.Put(out, 0, []int64{rest[k]})
 		}

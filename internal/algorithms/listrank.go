@@ -137,22 +137,16 @@ func (a ListRank) Program() core.Program {
 		removedAt := make([][]removal, iters)
 		rng := ctx.Rand()
 
+		// flips[k] is the current flip of active[k]: genFlips draws one per
+		// active element, in order, and active does not change between a
+		// genFlips and the phase B that consults it.
 		flips := make([]int64, 0, len(active))
-		flipIdx := make([]int, 0, len(active))
-		myFlip := map[int]int64{}
 		genFlips := func() {
 			flips = flips[:0]
-			flipIdx = flipIdx[:0]
-			for k := range myFlip {
-				delete(myFlip, k)
+			for range active {
+				flips = append(flips, int64(rng.Intn(2)))
 			}
-			for _, i := range active {
-				f := int64(rng.Intn(2))
-				flips = append(flips, f)
-				flipIdx = append(flipIdx, i)
-				myFlip[i] = f
-			}
-			ctx.PutIndexed(F, flipIdx, flips)
+			ctx.PutIndexed(F, active, flips)
 			ctx.Compute(cpu.BlockFlipGenerate(len(active)))
 		}
 
@@ -194,10 +188,10 @@ func (a ListRank) Program() core.Program {
 
 			// Phase B: candidates (flipped 1, not head, has successor)
 			// prefetch the successor's flip and rank.
-			cand := make([]int, 0, len(active)/2)
+			cand := make([]int, 0, len(active)/2) // positions in active
 			succIdx := make([]int, 0, len(active)/2)
 			for k, i := range active {
-				if i == head || sBuf[k] < 0 || myFlip[i] != 1 {
+				if i == head || sBuf[k] < 0 || flips[k] != 1 {
 					continue
 				}
 				cand = append(cand, k)
@@ -211,32 +205,40 @@ func (a ListRank) Program() core.Program {
 
 			// Phase C: splice out elements whose successor flipped 0, and
 			// (merged) generate the next iteration's flips.
-			var remIdx []int
-			var remVals []int64
-			keep := active[:0]
-			removedHere := map[int]bool{}
+			nrem := 0
+			for _, f := range sf {
+				if f == 0 {
+					nrem++
+				}
+			}
+			removedAt[t] = make([]removal, 0, nrem)
+			removed := make([]bool, len(active)) // by position in active
+			// The three splice write lists, one per target array.
+			sIdx, pIdx, rIdx := make([]int, 0, nrem), make([]int, 0, nrem), make([]int, 0, nrem)
+			sVal, pVal, rVal := make([]int64, 0, nrem), make([]int64, 0, nrem), make([]int64, 0, nrem)
 			for ci, k := range cand {
 				if sf[ci] != 0 {
 					continue
 				}
-				i := active[k]
 				succ := int(sBuf[k])
 				pred := int(pBuf[k])
 				// S[pred] = succ; P[succ] = pred; R[succ] += R[i].
-				remIdx = append(remIdx, predS(n, pred), predP(n, succ), predR(n, succ))
-				remVals = append(remVals, int64(succ), int64(pred), sr[ci]+rBuf[k])
-				removedAt[t] = append(removedAt[t], removal{id: i, pred: pred, weight: rBuf[k]})
-				removedHere[i] = true
+				sIdx, sVal = append(sIdx, pred), append(sVal, int64(succ))
+				pIdx, pVal = append(pIdx, succ), append(pVal, int64(pred))
+				rIdx, rVal = append(rIdx, succ), append(rVal, sr[ci]+rBuf[k])
+				removedAt[t] = append(removedAt[t], removal{id: active[k], pred: pred, weight: rBuf[k]})
+				removed[k] = true
 			}
-			for _, i := range active {
-				if !removedHere[i] {
+			keep := active[:0]
+			for k, i := range active {
+				if !removed[k] {
 					keep = append(keep, i)
 				}
 			}
 			active = keep
-			// The three target arrays are registered separately; encode the
-			// (array, index) pairs through three PutIndexed calls instead.
-			splitPut(ctx, S, P, R, n, remIdx, remVals)
+			ctx.PutIndexed(S, sIdx, sVal)
+			ctx.PutIndexed(P, pIdx, pVal)
+			ctx.PutIndexed(R, rIdx, rVal)
 			ctx.Compute(cpu.BlockCompact(len(cand)))
 			if t+1 < iters {
 				genFlips()
@@ -356,31 +358,4 @@ func (a ListRank) Program() core.Program {
 			ctx.Sync() // expansion phase Y_t
 		}
 	}
-}
-
-// The splice writes of phase C target three different arrays; remIdx packs
-// them as n*0+i (S), n*1+i (P), n*2+i (R) and splitPut unpacks.
-func predS(n, i int) int { return i }
-func predP(n, i int) int { return n + i }
-func predR(n, i int) int { return 2*n + i }
-
-func splitPut(ctx core.Ctx, S, P, R core.Handle, n int, idx []int, vals []int64) {
-	var si, pi, ri []int
-	var sv, pv, rv []int64
-	for k, ix := range idx {
-		switch {
-		case ix < n:
-			si = append(si, ix)
-			sv = append(sv, vals[k])
-		case ix < 2*n:
-			pi = append(pi, ix-n)
-			pv = append(pv, vals[k])
-		default:
-			ri = append(ri, ix-2*n)
-			rv = append(rv, vals[k])
-		}
-	}
-	ctx.PutIndexed(S, si, sv)
-	ctx.PutIndexed(P, pi, pv)
-	ctx.PutIndexed(R, ri, rv)
 }

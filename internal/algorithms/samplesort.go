@@ -1,7 +1,7 @@
 package algorithms
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -110,8 +110,8 @@ func (a SampleSort) Program() core.Program {
 				mySamples[i] = local[ctx.Rand().Intn(len(local))]
 			}
 		}
-		var bidx []int
-		var bvals []int64
+		bidx := make([]int, 0, (p-1)*clogn)
+		bvals := make([]int64, 0, (p-1)*clogn)
 		for r := 0; r < p; r++ {
 			base := r*row + id*clogn
 			if r == id {
@@ -130,7 +130,7 @@ func (a SampleSort) Program() core.Program {
 		// Sort all cp*log n samples and pick every (c log n)-th as a pivot.
 		all := make([]int64, row)
 		ctx.ReadLocal(samples, id*row, all)
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		ctx.Compute(cpu.BlockQuickSort(row))
 		pivots := make([]int64, p-1)
 		for k := 1; k < p; k++ {
@@ -139,15 +139,15 @@ func (a SampleSort) Program() core.Program {
 
 		// Major step 2: bucketize local elements (binary search over the
 		// pivots), stage them contiguously per bucket, and post descriptors
-		// to each bucket's owner.
-		bucketOf := func(v int64) int {
-			// Number of pivots < v; ties stay with the earlier bucket.
-			b := sort.Search(len(pivots), func(k int) bool { return pivots[k] >= v })
-			return b
-		}
+		// to each bucket's owner. An element's bucket is the number of
+		// pivots below it, so ties stay with the earlier bucket; it is
+		// searched once and remembered for the staging pass.
+		bucketOf := make([]int32, len(local))
 		counts := make([]int64, p)
-		for _, v := range local {
-			counts[bucketOf(v)]++
+		for i, v := range local {
+			b, _ := slices.BinarySearch(pivots, v)
+			bucketOf[i] = int32(b)
+			counts[b]++
 		}
 		offs := make([]int64, p)
 		var acc int64
@@ -156,9 +156,9 @@ func (a SampleSort) Program() core.Program {
 			acc += counts[b]
 		}
 		stagedLocal := make([]int64, len(local))
-		cursor := append([]int64(nil), offs...)
-		for _, v := range local {
-			b := bucketOf(v)
+		cursor := slices.Clone(offs)
+		for i, v := range local {
+			b := bucketOf[i]
 			stagedLocal[cursor[b]] = v
 			cursor[b]++
 		}
@@ -220,7 +220,7 @@ func (a SampleSort) Program() core.Program {
 		ctx.Sync() // phase 3: buckets gathered
 
 		// Major step 3: sort the bucket locally.
-		sort.Slice(bucket, func(i, j int) bool { return bucket[i] < bucket[j] })
+		slices.Sort(bucket)
 		ctx.Compute(cpu.BlockQuickSort(int(total)))
 
 		// Major step 4: write the sorted bucket to its output position.

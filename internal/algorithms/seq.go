@@ -6,7 +6,7 @@
 package algorithms
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -24,8 +24,8 @@ func SeqPrefix(in []int64) []int64 {
 
 // SeqSort returns a sorted copy of in.
 func SeqSort(in []int64) []int64 {
-	out := append([]int64(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(in)
+	slices.Sort(out)
 	return out
 }
 
