@@ -95,25 +95,7 @@ func (c *Comm) Send(dst, tag, payloadBytes int, payload interface{}) {
 // arrive while waiting but do not match are buffered for later Recv calls.
 func (c *Comm) Recv(src, tag int) machine.Packet {
 	var out machine.Packet
-	c.timed(func() {
-		for i, p := range c.pending {
-			if matches(p, src, tag) {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				c.chargeRecv(p)
-				out = p
-				return
-			}
-		}
-		for {
-			p := c.Node.Recv()
-			if matches(p, src, tag) {
-				c.chargeRecv(p)
-				out = p
-				return
-			}
-			c.pending = append(c.pending, p)
-		}
-	})
+	c.timed(func() { out = c.recvInternal(src, tag) })
 	return out
 }
 
@@ -187,12 +169,9 @@ func (c *Comm) sendInternal(dst, tag, payloadBytes int, payload interface{}) {
 }
 
 func (c *Comm) recvInternal(src, tag int) machine.Packet {
-	for i, p := range c.pending {
-		if matches(p, src, tag) {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.chargeRecv(p)
-			return p
-		}
+	if p, ok := c.takePending(src, tag); ok {
+		c.chargeRecv(p)
+		return p
 	}
 	for {
 		p := c.Node.Recv()
@@ -202,6 +181,22 @@ func (c *Comm) recvInternal(src, tag int) machine.Packet {
 		}
 		c.pending = append(c.pending, p)
 	}
+}
+
+// takePending removes and returns the oldest buffered message matching
+// (src, tag), so matching is FIFO per (src, tag). The vacated tail slot is
+// zeroed: the buffer must not keep a consumed message's payload reachable.
+func (c *Comm) takePending(src, tag int) (machine.Packet, bool) {
+	for i, p := range c.pending {
+		if matches(p, src, tag) {
+			last := len(c.pending) - 1
+			copy(c.pending[i:], c.pending[i+1:])
+			c.pending[last] = machine.Packet{}
+			c.pending = c.pending[:last]
+			return p, true
+		}
+	}
+	return machine.Packet{}, false
 }
 
 // String describes the layer configuration.

@@ -208,3 +208,47 @@ func TestPendingStashSurvivesInterleaving(t *testing.T) {
 		}
 	})
 }
+
+// TestPendingFIFOAndReleased buffers several unmatched messages, then drains
+// them out of arrival order. Messages sharing a (src, tag) must come back in
+// send order, and once a message is consumed the pending buffer — including
+// the slack behind its length — must not reference its payload any more.
+func TestPendingFIFOAndReleased(t *testing.T) {
+	type payload struct{ seq int }
+	harness(t, 2, machine.DefaultNet(), func(c *Comm) {
+		switch c.Node.ID() {
+		case 0:
+			for seq, tag := range []int{7, 8, 7, 9, 8, 7} {
+				c.Send(1, tag, 8, &payload{seq})
+			}
+			c.Send(1, 1, 8, nil)
+		case 1:
+			c.Recv(0, 1) // arrives last: everything before it gets buffered
+			if c.Pending() != 6 {
+				t.Fatalf("pending = %d, want 6", c.Pending())
+			}
+			reachable := func(p *payload) bool {
+				for _, pk := range c.pending[:cap(c.pending)] {
+					if pk.Payload == interface{}(p) {
+						return true
+					}
+				}
+				return false
+			}
+			for _, want := range []struct{ tag, seq int }{
+				{8, 1}, {7, 0}, {9, 3}, {7, 2}, {8, 4}, {7, 5},
+			} {
+				got := c.Recv(0, want.tag).Payload.(*payload)
+				if got.seq != want.seq {
+					t.Errorf("tag %d: got message %d, want %d (FIFO per tag)", want.tag, got.seq, want.seq)
+				}
+				if reachable(got) {
+					t.Errorf("message %d still reachable from the pending buffer after Recv", got.seq)
+				}
+			}
+			if c.Pending() != 0 {
+				t.Errorf("pending = %d, want 0", c.Pending())
+			}
+		}
+	})
+}
