@@ -31,6 +31,11 @@
 // all four combinations (the differential tests in internal/experiments
 // assert this).
 //
+// Profiling: -cpuprofile FILE and -memprofile FILE write pprof profiles of
+// the whole invocation (the recipe behind the EXPERIMENTS.md perf
+// trajectory): qsmbench -exp fig3 -quick -runs 1 -parallel 1 -cpuprofile
+// cpu.prof, then go tool pprof -top cpu.prof.
+//
 // Caching: -cache DIR memoizes results in a content-addressed store (the
 // same store cmd/qsmd serves from) keyed by experiment id, the
 // deterministic options, and the code fingerprint — rerunning an identical
@@ -47,6 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -77,8 +83,18 @@ func main() {
 		server    = flag.String("server", "", "submit to a qsmd server at this URL instead of simulating locally")
 		sched     = flag.String("sched", string(sim.SchedHeap), "event scheduler: heap (4-ary heap) or calendar (calendar queue); tables are byte-identical either way")
 		stepProcs = flag.Bool("stepprocs", true, "run converted subsystems as state-machine processes (false falls back to goroutine processes; byte-identical, slower)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file when the invocation ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qsmbench: %v\n", err)
+		os.Exit(1)
+	}
+	// Error exits below skip this: a failed run leaves no profile.
+	defer stopProfiles()
 
 	switch sim.Scheduler(*sched) {
 	case sim.SchedHeap, sim.SchedCalendar:
@@ -243,6 +259,45 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", strings.Join(files, ", "))
 	}
+}
+
+// startProfiles begins CPU profiling to cpuPath and returns the function that
+// ends it and writes the allocation profile to memPath; either may be empty.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "qsmbench: writing %s: %v\n", cpuPath, err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qsmbench: %v\n", err)
+			return
+		}
+		// "allocs" reports every allocation since start, not just the live
+		// heap, which is what allocs/event work needs.
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintf(os.Stderr, "qsmbench: writing %s: %v\n", memPath, err)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "qsmbench: writing %s: %v\n", memPath, err)
+		}
+	}, nil
 }
 
 // runCached serves one experiment through the content-addressed store:

@@ -110,8 +110,8 @@ func (a SampleSort) Program() core.Program {
 				mySamples[i] = local[ctx.Rand().Intn(len(local))]
 			}
 		}
-		bidx := make([]int, 0, (p-1)*clogn)
-		bvals := make([]int64, 0, (p-1)*clogn)
+		var bidx []int
+		var bvals []int64
 		for r := 0; r < p; r++ {
 			base := r*row + id*clogn
 			if r == id {

@@ -9,6 +9,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -184,15 +185,13 @@ func (c *Comm) recvInternal(src, tag int) machine.Packet {
 }
 
 // takePending removes and returns the oldest buffered message matching
-// (src, tag), so matching is FIFO per (src, tag). The vacated tail slot is
-// zeroed: the buffer must not keep a consumed message's payload reachable.
+// (src, tag), so matching is FIFO per (src, tag). slices.Delete zeroes the
+// vacated tail slot: the buffer must not keep a consumed message's payload
+// reachable.
 func (c *Comm) takePending(src, tag int) (machine.Packet, bool) {
 	for i, p := range c.pending {
 		if matches(p, src, tag) {
-			last := len(c.pending) - 1
-			copy(c.pending[i:], c.pending[i+1:])
-			c.pending[last] = machine.Packet{}
-			c.pending = c.pending[:last]
+			c.pending = slices.Delete(c.pending, i, i+1)
 			return p, true
 		}
 	}

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate events/sec against the committed BENCH_<id>.json baselines.
+"""Gate events/sec and allocs/event against the committed BENCH_<id>.json baselines.
 
 Usage:
     perfcheck.py --baseline bench --fresh /tmp/bench [--tolerance 0.25] id...
@@ -9,7 +9,11 @@ and /tmp/bench/BENCH_<id>.json (just produced by `qsmbench -json`) and fails
 if the fresh events_per_sec falls more than --tolerance below the baseline.
 The sim_events counts must match exactly: a drifting event count means the
 simulation changed, which is a correctness problem the perf gate must not
-paper over.
+paper over. Allocations per simulated event (allocs / sim_events) are gated
+the other way round by the same --tolerance: unlike events/sec the ratio
+barely depends on the machine, so a rise is a code change, not CI noise
+(0.01 allocs/event of absolute slack keeps records that hardly allocate,
+fig7 and runner, from being gated on the worker pool's own allocations).
 
 The tolerance is generous (default 25%) because the baseline is refreshed on
 a developer machine while the gate runs on CI hardware; regenerate the
@@ -66,9 +70,25 @@ def main():
             failed = True
         else:
             print(f"ok   {line}")
+        failed |= check_allocs(eid, base, fresh, args.tolerance)
         failed |= check_extra(eid, base.get("extra") or {}, fresh.get("extra") or {},
                               args.min_speedup)
     return 1 if failed else 0
+
+
+def check_allocs(eid, base, fresh, tolerance):
+    """Gate allocations per simulated event against the baseline's."""
+    if not base.get("sim_events") or not fresh.get("sim_events"):
+        return False
+    b = base["allocs"] / base["sim_events"]
+    f = fresh["allocs"] / fresh["sim_events"]
+    ceiling = b * (1.0 + tolerance) + 0.01
+    line = f"{eid}: baseline {b:.3f} allocs/event, fresh {f:.3f} (ceiling {ceiling:.3f})"
+    if f > ceiling:
+        print(f"FAIL {line}")
+        return True
+    print(f"ok   {line}")
+    return False
 
 
 def check_extra(eid, base, fresh, min_speedup):
