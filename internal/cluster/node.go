@@ -251,6 +251,12 @@ func clusterWriteError(w http.ResponseWriter, code int, err error) {
 	clusterWriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// writeResult serves a result's stored wire encoding as the response body.
+func writeResult(w http.ResponseWriter, wire []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(wire)
+}
+
 // serveLocal replays the (possibly already-consumed) request body and hands
 // the request to the local scheduler handler.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
@@ -515,9 +521,9 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, nil) // canonical 400
 		return
 	}
-	if e, ok, _ := n.cfg.Store.GetCtx(r.Context(), key); ok {
+	if wire, ok, _ := n.cfg.Store.GetBytes(r.Context(), key); ok {
 		n.count(n.met.local)
-		clusterWriteJSON(w, http.StatusOK, e)
+		writeResult(w, wire)
 		return
 	}
 	if r.Header.Get(ForwardedHeader) != "" {
@@ -536,14 +542,19 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
+		if e.Key != key || !e.ChecksumOK() {
+			n.cfg.Log.Warn("peer served a result that fails verification", "key", store.ShortKey(key), "peer", o)
+			continue
+		}
 		n.count(n.met.forwarded)
 		n.count(n.met.readRepairs)
-		if perr := n.cfg.Store.PutCtx(r.Context(), e); perr != nil {
+		wire, perr := n.cfg.Store.PutCtx(r.Context(), e)
+		if perr != nil {
 			n.cfg.Log.Warn("read-repair write failed", "key", store.ShortKey(key), "error", perr)
 		} else {
 			n.cfg.Log.Info("read-repaired entry from peer", "key", store.ShortKey(key), "peer", o)
 		}
-		clusterWriteJSON(w, http.StatusOK, e)
+		writeResult(w, wire)
 		return
 	}
 	n.serveLocal(w, r, nil) // canonical 404
@@ -574,7 +585,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		clusterWriteError(w, http.StatusBadRequest, errors.New("cluster: replicated entry failed checksum"))
 		return
 	}
-	if err := n.cfg.Store.PutCtx(r.Context(), &e); err != nil {
+	if _, err := n.cfg.Store.PutCtx(r.Context(), &e); err != nil {
 		clusterWriteError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -623,7 +634,7 @@ func (n *Node) replicate(key, traceID string) {
 		ctx = obs.WithTraceContext(ctx, &obs.TraceContext{
 			ID: traceID, Tracer: n.cfg.Tracer, Log: n.cfg.Log.With("trace_id", traceID)})
 	}
-	e, ok, err := n.cfg.Store.GetCtx(ctx, key)
+	wire, ok, err := n.cfg.Store.GetBytes(ctx, key)
 	if !ok || err != nil {
 		n.cfg.Log.Warn("replication skipped: entry unavailable locally",
 			"key", store.ShortKey(key), "error", fmt.Sprint(err))
@@ -639,7 +650,7 @@ func (n *Node) replicate(key, traceID string) {
 		if p == nil || !p.Alive() {
 			continue
 		}
-		if err := p.client.PutResult(ctx, e); err != nil {
+		if err := p.client.PutResult(ctx, key, wire); err != nil {
 			n.count(n.met.replicateFails)
 			n.cfg.Log.Warn("replication push failed", "key", store.ShortKey(key), "peer", o, "error", err)
 			continue

@@ -130,6 +130,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			return err
 		}
 	}
+	return c.send(ctx, method, path, data, out)
+}
+
+// send is do for a request body that is already encoded (nil for none).
+func (c *Client) send(ctx context.Context, method, path string, data []byte, out any) error {
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -270,12 +275,13 @@ func (c *Client) Result(ctx context.Context, key string) (*store.Entry, error) {
 	return &e, nil
 }
 
-// PutResult pushes a complete result entry to the server's store; cluster
-// nodes use it to replicate an owner's freshly computed entries to the
-// key's successor replicas. The receiving node verifies the entry's key and
-// checksum before accepting it.
-func (c *Client) PutResult(ctx context.Context, e *store.Entry) error {
-	return c.do(ctx, http.MethodPut, "/v1/results/"+url.PathEscape(e.Key), e, nil)
+// PutResult pushes a result entry's wire encoding (store.GetBytes) to the
+// server's store; cluster nodes use it to replicate an owner's freshly
+// computed entries to the key's successor replicas. The receiving node
+// decodes the body and verifies the entry's key and checksum before
+// accepting it.
+func (c *Client) PutResult(ctx context.Context, key string, wire []byte) error {
+	return c.send(ctx, http.MethodPut, "/v1/results/"+url.PathEscape(key), wire, nil)
 }
 
 // HealthStatus is the /healthz payload.

@@ -255,7 +255,7 @@ func (s *Scheduler) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("service: malformed result key"))
 		return
 	}
-	e, ok, err := s.cfg.Store.GetCtx(r.Context(), key)
+	wire, ok, err := s.cfg.Store.GetBytes(r.Context(), key)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -264,7 +264,9 @@ func (s *Scheduler) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("service: no such result"))
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	// The stored encoding is the response body: nothing to decode or encode.
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(wire)
 }
 
 func (s *Scheduler) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -491,7 +491,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 	// Admission-time cache hit: complete without consuming queue capacity.
 	// A store read error here is deliberately treated as a miss — the queue
 	// path recomputes.
-	if _, ok, err := s.cfg.Store.GetCtx(ctx, key); err == nil && ok {
+	if _, ok, err := s.cfg.Store.GetBytes(ctx, key); err == nil && ok {
 		j := s.register(req, key, traceID)
 		j.queueSpan.End() // never queued; commit the ~0 wait for a complete timeline
 		j.finish(key, true)
@@ -732,7 +732,7 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 		s.notify(j)
 		sp := s.cfg.Tracer.Start(j.traceID, "scheduler", "attempt", fmt.Sprintf("attempt %d", attempt),
 			obs.WArg{Key: "job", Val: j.id}, obs.WArg{Key: "experiment", Val: j.experiment})
-		entry, hit, err := s.attempt(j)
+		hit, err := s.attempt(j)
 		if err == nil {
 			sp.Annotate("outcome", "done")
 			sp.End()
@@ -744,11 +744,11 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 					s.met.misses.Inc()
 				}
 			})
-			j.finish(entry.Key, hit)
+			j.finish(j.cacheKey, hit)
 			j.log.Info("job done", "attempt", attempt, "cached", hit, "state", StateDone,
 				"elapsed_seconds", time.Since(start).Seconds())
 			s.notify(j)
-			return entry.Key, true
+			return j.cacheKey, true
 		}
 		sp.Annotate("outcome", "failed")
 		sp.Annotate("error", err.Error())
@@ -781,15 +781,16 @@ func (j *job) attempts() int {
 
 // attempt runs one execution attempt through the store's single-flight
 // path, bounded by the per-job timeout.
-func (s *Scheduler) attempt(j *job) (*store.Entry, bool, error) {
+func (s *Scheduler) attempt(j *job) (hit bool, err error) {
 	runCtx, cancel := j.ctx, func() {}
 	if s.cfg.JobTimeout > 0 {
 		runCtx, cancel = context.WithTimeout(j.ctx, s.cfg.JobTimeout)
 	}
 	defer cancel()
-	return s.cfg.Store.GetOrComputeCtx(runCtx, j.cacheKey, func() (*store.Entry, error) {
+	_, hit, err = s.cfg.Store.GetOrComputeBytes(runCtx, j.cacheKey, func() (*store.Entry, error) {
 		return s.compute(j, runCtx)
 	})
+	return hit, err
 }
 
 // compute runs the simulation behind a cache miss and builds its store

@@ -7,6 +7,13 @@
 // identical computations single-flight, so two simultaneous submissions of
 // the same experiment run one simulation.
 //
+// An entry has one stored representation, its wire encoding: indented JSON
+// plus a newline, produced once by Put. The disk file holds those bytes, the
+// LRU holds those bytes, and GetBytes hands them to the HTTP layer to write
+// as they are — a cached read neither decodes nor encodes. The store keeps no
+// *Entry: Get and GetOrCompute decode a fresh one per call for the callers
+// that want fields (qsmbench -cache, tests).
+//
 // Because the simulator is deterministic in its keyed options, a cache hit
 // is byte-identical to a recomputation — the cache changes latency, never
 // results. The store defends that guarantee against storage failures:
@@ -85,10 +92,11 @@ type Store struct {
 	max    int
 	faults *faults.Injector
 
-	mu      sync.Mutex
-	mem     map[string]*list.Element // key → element whose Value is *Entry
-	lru     *list.List               // front = most recently used
-	flights map[string]*flight
+	mu       sync.Mutex
+	mem      map[string]*list.Element // key → element whose Value is resident
+	lru      *list.List               // front = most recently used
+	memBytes int64                    // sum of len(wire) over the LRU
+	flights  map[string]*flight
 
 	// met guards the store's self-metrics registry (obs recorders are
 	// single-goroutine by design).
@@ -100,7 +108,15 @@ type Store struct {
 		checksumFails *obs.Counter // quarantines caused by checksum mismatch
 		writeDegraded *obs.Counter // Put failures degraded to memory-only
 		readDegraded  *obs.Counter // Get errors degraded to compute-through
+		memBytes      *obs.Gauge   // resident encodings, set at scrape time
 	}
+}
+
+// resident is one LRU slot: an entry's wire encoding, shared read-only with
+// every reader.
+type resident struct {
+	key  string
+	wire []byte
 }
 
 // flight is one in-progress computation other callers wait on.
@@ -139,6 +155,7 @@ func OpenConfig(cfg Config) (*Store, error) {
 	s.met.checksumFails = rec.Counter("store", "checksum_failures", "")
 	s.met.writeDegraded = rec.Counter("store", "writes_degraded", "")
 	s.met.readDegraded = rec.Counter("store", "reads_degraded", "")
+	s.met.memBytes = rec.Gauge("store", "mem_bytes", "")
 	return s, nil
 }
 
@@ -152,8 +169,10 @@ func (s *Store) count(c *obs.Counter) {
 // WriteMetricsText dumps the store's self-metrics in Prometheus text
 // format; the service layer appends it to /metricsz.
 func (s *Store) WriteMetricsText(w io.Writer) error {
+	_, memBytes := s.memUsage()
 	s.met.Lock()
 	defer s.met.Unlock()
+	s.met.memBytes.Set(memBytes)
 	return s.met.rec.WritePrometheusText(w)
 }
 
@@ -169,8 +188,11 @@ func (s *Store) Metric(name string) uint64 {
 // Stats is a point-in-time snapshot of the store's health counters, shaped
 // for the service's /statusz endpoint.
 type Stats struct {
-	// MemEntries is the current in-memory LRU population.
-	MemEntries int `json:"mem_entries"`
+	// MemEntries is the current in-memory LRU population and MemBytes the
+	// sum of its encodings' lengths: at most MaxMem entries, so at most
+	// MaxMem times the largest result.
+	MemEntries int   `json:"mem_entries"`
+	MemBytes   int64 `json:"mem_bytes"`
 	// The remaining fields mirror the store self-metrics: degradation and
 	// corruption counters since the store opened.
 	ReadErrors         uint64 `json:"read_errors"`
@@ -182,7 +204,8 @@ type Stats struct {
 
 // Stats returns the store's current health counters.
 func (s *Store) Stats() Stats {
-	st := Stats{MemEntries: s.MemLen()}
+	var st Stats
+	st.MemEntries, st.MemBytes = s.memUsage()
 	s.met.Lock()
 	st.ReadErrors = s.met.readErrors.Value()
 	st.EntriesQuarantined = s.met.quarantined.Value()
@@ -207,24 +230,48 @@ func (s *Store) QuarantinePath(key string) string {
 	return s.Path(key) + ".quarantined"
 }
 
-// Get returns the cached entry for key, consulting the in-memory LRU first
-// and falling back to disk (promoting a disk hit into memory). A malformed
-// key is an error; a corrupt or checksum-failing disk entry is quarantined
-// (moved to QuarantinePath) and reported as a miss, so one bad file cannot
-// poison its key forever and the evidence survives for inspection.
+// Get returns the cached entry for key, decoded from its stored encoding:
+// every call returns its own *Entry. See GetBytes for the read itself.
 func (s *Store) Get(key string) (*Entry, bool, error) {
 	return s.GetCtx(context.Background(), key)
 }
 
-// GetCtx is Get under a request context: when ctx carries an
-// obs.TraceContext, the read emits a wall-clock "store.get" span annotated
-// with its outcome (mem/disk hit, miss, error), and injected faults,
-// quarantines, and checksum failures become span events and structured log
-// lines stamped with the trace ID.
+// GetCtx is Get under a request context (see GetBytes).
 func (s *Store) GetCtx(ctx context.Context, key string) (*Entry, bool, error) {
+	wire, ok, err := s.GetBytes(ctx, key)
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	e, err := decodeWire(wire)
+	return e, err == nil, err
+}
+
+// decodeWire decodes an encoding the store produced.
+func decodeWire(wire []byte) (*Entry, error) {
+	e := new(Entry)
+	if err := json.Unmarshal(wire, e); err != nil {
+		return nil, fmt.Errorf("store: decoding stored entry: %w", err)
+	}
+	return e, nil
+}
+
+// GetBytes returns the wire encoding of the cached entry for key — the bytes
+// Put wrote to disk and GET /v1/results/{key} serves — consulting the
+// in-memory LRU first and falling back to disk (promoting a disk hit into
+// memory). The slice is shared with the cache and every other reader and
+// must not be modified. A malformed key is an error; a corrupt or
+// checksum-failing disk entry is quarantined (moved to QuarantinePath) and
+// reported as a miss, so one bad file cannot poison its key forever and the
+// evidence survives for inspection.
+//
+// When ctx carries an obs.TraceContext, the read emits a wall-clock
+// "store.get" span annotated with its outcome (hit, miss, error), and
+// injected faults, quarantines, and checksum failures become span events and
+// structured log lines stamped with the trace ID.
+func (s *Store) GetBytes(ctx context.Context, key string) ([]byte, bool, error) {
 	tc := obs.TraceContextFrom(ctx)
 	sp := tc.Start("store", "store", "store.get", obs.WArg{Key: "key", Val: ShortKey(key)})
-	e, ok, err := s.get(tc, key)
+	wire, ok, err := s.get(tc, key)
 	switch {
 	case err != nil:
 		sp.Annotate("outcome", "error")
@@ -234,21 +281,19 @@ func (s *Store) GetCtx(ctx context.Context, key string) (*Entry, bool, error) {
 		sp.Annotate("outcome", "miss")
 	}
 	sp.End()
-	return e, ok, err
+	return wire, ok, err
 }
 
-func (s *Store) get(tc *obs.TraceContext, key string) (*Entry, bool, error) {
+func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 	if !ValidKey(key) {
 		return nil, false, fmt.Errorf("store: malformed key %q", key)
 	}
 	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
-		s.mu.Unlock()
-		return e, true, nil
-	}
+	wire, ok := s.lookup(key)
 	s.mu.Unlock()
+	if ok {
+		return wire, true, nil
+	}
 	if err := s.faults.Err(faults.StoreRead, "store get"); err != nil {
 		s.count(s.met.readErrors)
 		s.noteFault(tc, "store.get", faults.StoreRead, key, err)
@@ -269,15 +314,20 @@ func (s *Store) get(tc *obs.TraceContext, key string) (*Entry, bool, error) {
 		s.quarantine(tc, key, "malformed entry JSON")
 		return nil, false, nil
 	}
-	if !e.ChecksumOK() {
+	// One marshal both verifies the entry and yields what is promoted: the
+	// canonical encoding of the verified value, never the file's own bytes
+	// (the checksum covers the value, not its whitespace).
+	compact, sum, err := marshalEntry(&e)
+	if err != nil || (e.Checksum != "" && e.Checksum != sum) {
 		s.count(s.met.checksumFails)
 		s.quarantine(tc, key, "checksum mismatch")
 		return nil, false, nil
 	}
+	wire = wireForm(compact, e.Checksum)
 	s.mu.Lock()
-	s.insert(&e)
+	s.insert(key, wire)
 	s.mu.Unlock()
-	return &e, true, nil
+	return wire, true, nil
 }
 
 // noteFault records an injected store fault on the request's trace: an
@@ -300,71 +350,96 @@ func (s *Store) quarantine(tc *obs.TraceContext, key, why string) {
 	}
 }
 
-// Put stores the entry on disk (atomically, via temp file + rename) and in
-// the in-memory LRU, stamping its checksum.
+// Put encodes the entry once and stores the encoding on disk (atomically,
+// via temp file + rename) and in the in-memory LRU, stamping e's checksum.
+// The store does not retain e.
 func (s *Store) Put(e *Entry) error {
-	return s.PutCtx(context.Background(), e)
+	_, err := s.PutCtx(context.Background(), e)
+	return err
 }
 
 // PutCtx is Put under a request context, emitting a "store.put" span and
-// fault annotations the same way GetCtx does.
-func (s *Store) PutCtx(ctx context.Context, e *Entry) error {
+// fault annotations the same way GetBytes does. It returns the entry's wire
+// encoding (shared, read-only — see GetBytes) even when storing it failed,
+// nil only when e cannot be encoded at all, so a caller that has the entry
+// in hand can still serve it or cache it memory-only.
+func (s *Store) PutCtx(ctx context.Context, e *Entry) ([]byte, error) {
 	tc := obs.TraceContextFrom(ctx)
 	sp := tc.Start("store", "store", "store.put", obs.WArg{Key: "key", Val: ShortKey(e.Key)})
-	err := s.put(tc, e)
+	wire, err := s.put(tc, e)
 	if err != nil {
 		sp.Annotate("outcome", "error")
 	} else {
 		sp.Annotate("outcome", "ok")
 	}
 	sp.End()
-	return err
+	return wire, err
 }
 
-func (s *Store) put(tc *obs.TraceContext, e *Entry) error {
+func (s *Store) put(tc *obs.TraceContext, e *Entry) ([]byte, error) {
 	if !ValidKey(e.Key) {
-		return fmt.Errorf("store: malformed key %q", e.Key)
+		return nil, fmt.Errorf("store: malformed key %q", e.Key)
 	}
-	e.Checksum = entryChecksum(e)
-	data, err := json.MarshalIndent(e, "", "  ")
+	compact, sum, err := marshalEntry(e)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	e.Checksum = sum
+	wire := wireForm(compact, sum)
 	if err := s.faults.Err(faults.StoreWrite, "store put"); err != nil {
 		s.noteFault(tc, "store.put", faults.StoreWrite, e.Key, err)
-		return err
+		return wire, err
 	}
-	if err := writeFileAtomic(s.Path(e.Key), append(data, '\n')); err != nil {
+	if err := writeFileAtomic(s.Path(e.Key), wire); err != nil {
 		tc.Logger().Error("store write failed", "key", ShortKey(e.Key), "error", err)
-		return err
+		return wire, err
 	}
 	s.mu.Lock()
-	s.insert(e)
+	s.insert(e.Key, wire)
 	s.mu.Unlock()
-	return nil
+	return wire, nil
 }
 
-// insert adds or refreshes e in the LRU, evicting from the back over the
-// memory bound. Caller holds s.mu.
-func (s *Store) insert(e *Entry) {
-	if el, ok := s.mem[e.Key]; ok {
-		el.Value = e
+// lookup returns key's resident encoding, marking it most recently used.
+// Caller holds s.mu.
+func (s *Store) lookup(key string) ([]byte, bool) {
+	el, ok := s.mem[key]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(resident).wire, true
+}
+
+// insert adds or refreshes key's encoding in the LRU, evicting from the back
+// over the memory bound. Caller holds s.mu.
+func (s *Store) insert(key string, wire []byte) {
+	s.memBytes += int64(len(wire))
+	if el, ok := s.mem[key]; ok {
+		s.memBytes -= int64(len(el.Value.(resident).wire))
+		el.Value = resident{key, wire}
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.mem[e.Key] = s.lru.PushFront(e)
+	s.mem[key] = s.lru.PushFront(resident{key, wire})
 	for s.lru.Len() > s.max {
-		el := s.lru.Back()
-		delete(s.mem, el.Value.(*Entry).Key)
-		s.lru.Remove(el)
+		old := s.lru.Remove(s.lru.Back()).(resident)
+		delete(s.mem, old.key)
+		s.memBytes -= int64(len(old.wire))
 	}
 }
 
 // MemLen returns the number of entries resident in the in-memory LRU.
 func (s *Store) MemLen() int {
+	n, _ := s.memUsage()
+	return n
+}
+
+// memUsage returns the LRU's population and the bytes its encodings hold.
+func (s *Store) memUsage() (entries int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len()
+	return s.lru.Len(), s.memBytes
 }
 
 // GetOrCompute returns the entry for key, running compute to fill a miss.
@@ -378,20 +453,34 @@ func (s *Store) MemLen() int {
 // Storage failures degrade rather than propagate: a read error falls
 // through to computation (counted as reads_degraded) and a failed disk
 // write caches the computed entry in memory only (writes_degraded), so
-// compute errors are the only errors GetOrCompute returns.
+// compute errors (and an entry that cannot be encoded) are the only errors
+// GetOrCompute returns.
 func (s *Store) GetOrCompute(key string, compute func() (*Entry, error)) (*Entry, bool, error) {
 	return s.GetOrComputeCtx(context.Background(), key, compute)
 }
 
-// GetOrComputeCtx is GetOrCompute under a request context: the embedded read
-// and write emit store spans, a caller blocked on another caller's in-flight
+// GetOrComputeCtx is GetOrCompute under a request context (see
+// GetOrComputeBytes); the entry is decoded from the stored encoding, so
+// every caller, the computing one included, receives its own copy.
+func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() (*Entry, error)) (*Entry, bool, error) {
+	wire, hit, err := s.GetOrComputeBytes(ctx, key, compute)
+	if err != nil {
+		return nil, false, err
+	}
+	e, err := decodeWire(wire)
+	return e, hit && err == nil, err
+}
+
+// GetOrComputeBytes is GetOrCompute returning the wire encoding instead of a
+// decoded entry (shared, read-only — see GetBytes). The embedded read and
+// write emit store spans, a caller blocked on another caller's in-flight
 // computation emits a "store.flight-wait" span (making single-flight dedup
 // visible on the timeline), and degraded paths log with the trace ID.
-func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() (*Entry, error)) (*Entry, bool, error) {
+func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func() (*Entry, error)) ([]byte, bool, error) {
 	tc := obs.TraceContextFrom(ctx)
-	e, ok, err := s.GetCtx(ctx, key)
+	wire, ok, err := s.GetBytes(ctx, key)
 	if ok {
-		return e, true, nil
+		return wire, true, nil
 	}
 	if err != nil {
 		// Compute-through: the cache is broken for this read, the
@@ -401,11 +490,9 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 	}
 	for {
 		s.mu.Lock()
-		if el, ok := s.mem[key]; ok {
-			s.lru.MoveToFront(el)
-			e := el.Value.(*Entry)
+		if wire, ok := s.lookup(key); ok {
 			s.mu.Unlock()
-			return e, true, nil
+			return wire, true, nil
 		}
 		f, inflight := s.flights[key]
 		if !inflight {
@@ -420,19 +507,22 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 			if f.err != nil {
 				return nil, false, f.err
 			}
-			// The winner's entry landed in memory before the flight closed,
-			// so the retry hits.
+			// The winner's encoding landed in memory before the flight
+			// closed, so the retry hits.
 			continue
 		}
 		e, err := compute()
 		if err == nil {
-			if perr := s.PutCtx(ctx, e); perr != nil {
+			var perr error
+			if wire, perr = s.PutCtx(ctx, e); wire == nil {
+				err = perr
+			} else if perr != nil {
 				// Degrade to memory-only caching: the result is correct,
 				// only its persistence failed.
 				s.count(s.met.writeDegraded)
 				tc.Logger().Warn("store write degraded to memory-only", "key", ShortKey(key), "error", perr)
 				s.mu.Lock()
-				s.insert(e)
+				s.insert(e.Key, wire)
 				s.mu.Unlock()
 			}
 		}
@@ -444,7 +534,7 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 		if err != nil {
 			return nil, false, err
 		}
-		return e, false, nil
+		return wire, false, nil
 	}
 }
 
