@@ -105,8 +105,8 @@ func render(w io.Writer, client *http.Client, base string, metricsN int) error {
 		st.Scheduler.Retried, st.Scheduler.Rejected, st.Scheduler.Failed, st.Scheduler.Inflight,
 		st.Scheduler.Coalesced, st.Scheduler.CoalescedBatches)
 	renderSched(w, st.Sched)
-	fmt.Fprintf(w, "store   mem %d   read-errors %d   checksum-fail %d   quarantined %d   degraded reads/writes %d/%d\n",
-		st.Store.MemEntries, st.Store.ReadErrors, st.Store.ChecksumFailures,
+	fmt.Fprintf(w, "store   mem %d (%.1f MB)   read-errors %d   checksum-fail %d   quarantined %d   degraded reads/writes %d/%d\n",
+		st.Store.MemEntries, float64(st.Store.MemBytes)/1e6, st.Store.ReadErrors, st.Store.ChecksumFailures,
 		st.Store.EntriesQuarantined, st.Store.ReadsDegraded, st.Store.WritesDegraded)
 	if st.TraceEnabled {
 		fmt.Fprintf(w, "trace   on   %d wall spans (%d dropped)\n", st.WallSpans, st.WallDropped)

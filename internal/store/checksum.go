@@ -5,45 +5,61 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"sync"
 )
 
-// marshalEntry is the one json.Marshal an entry gets: it returns the entry's
-// compact JSON encoding with the Checksum field empty, and that encoding's
-// hex SHA-256 — the entry's checksum. Struct field order fixes the JSON
-// field order, so the encoding is canonical and the checksum is stable
-// across marshal/unmarshal round trips. It fails only on a Metrics value
-// that is not valid JSON.
-func marshalEntry(e *Entry) (compact []byte, sum string, err error) {
+// encBufs are the encoder's scratch buffers. Only the exact-size wire form
+// outlives an encoding, so a Put allocates one encoding's worth, not three.
+type encBufs struct{ compact, indented bytes.Buffer }
+
+var encPool = sync.Pool{New: func() any { return new(encBufs) }}
+
+// marshalCompact is the one json.Marshal an entry gets: it writes the
+// entry's compact JSON encoding with the Checksum field empty into b.compact
+// and returns that encoding's hex SHA-256 — the entry's checksum. Struct
+// field order fixes the JSON field order, so the encoding is canonical and
+// the checksum is stable across marshal/unmarshal round trips. It fails only
+// on a Metrics value that is not valid JSON.
+func (b *encBufs) marshalCompact(e *Entry) (sum string, err error) {
 	c := *e
 	c.Checksum = ""
-	if compact, err = json.Marshal(&c); err != nil {
-		return nil, "", err
+	b.compact.Reset()
+	if err := json.NewEncoder(&b.compact).Encode(&c); err != nil {
+		return "", err
 	}
-	h := sha256.Sum256(compact)
-	return compact, hex.EncodeToString(h[:]), nil
+	b.compact.Truncate(b.compact.Len() - 1) // Encode is Marshal plus a newline
+	h := sha256.Sum256(b.compact.Bytes())
+	return hex.EncodeToString(h[:]), nil
 }
 
-// wireForm turns marshalEntry's compact encoding into the entry's stored and
-// served form: the checksum (when there is one; legacy entries have none)
-// spliced in as the last field, indented by two spaces, newline-terminated —
-// byte for byte what json.MarshalIndent of the checksummed entry plus "\n"
-// yields, since MarshalIndent is Marshal followed by Indent. It consumes
-// compact, and returns an exact-size slice: the result stays resident in the
-// LRU.
-func wireForm(compact []byte, sum string) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(compact) + len(compact)/4 + 128)
-	if sum != "" {
+// encodeEntry marshals e once and returns its checksum and its wire form,
+// the bytes the store keeps on disk and in memory and the API serves: the
+// compact encoding with the checksum spliced in as the last field (unless
+// legacy: entries written before checksums existed are served without one),
+// indented by two spaces, newline-terminated — byte for byte what
+// json.MarshalIndent of the checksummed entry plus "\n" yields, since
+// MarshalIndent is Marshal followed by Indent. The wire slice is exact-size:
+// it stays resident in the LRU.
+func encodeEntry(e *Entry, legacy bool) (wire []byte, sum string, err error) {
+	b := encPool.Get().(*encBufs)
+	defer encPool.Put(b)
+	if sum, err = b.marshalCompact(e); err != nil {
+		return nil, "", err
+	}
+	if !legacy {
 		// Checksum is the struct's last field and created_at, before it,
 		// is never omitted: the field goes in front of the closing brace.
-		compact = append(compact[:len(compact)-1], `,"checksum":"`+sum+`"}`...)
+		b.compact.Truncate(b.compact.Len() - 1)
+		b.compact.WriteString(`,"checksum":"` + sum + `"}`)
 	}
-	// Indent fails only on invalid JSON, which Marshal never emits.
-	_ = json.Indent(&buf, compact, "", "  ")
-	buf.WriteByte('\n')
-	wire := make([]byte, buf.Len())
-	copy(wire, buf.Bytes())
-	return wire
+	b.indented.Reset()
+	if err := json.Indent(&b.indented, b.compact.Bytes(), "", "  "); err != nil {
+		return nil, "", err
+	}
+	b.indented.WriteByte('\n')
+	wire = make([]byte, b.indented.Len())
+	copy(wire, b.indented.Bytes())
+	return wire, sum, nil
 }
 
 // ChecksumOK verifies the entry against its stored checksum. Entries
@@ -52,6 +68,8 @@ func (e *Entry) ChecksumOK() bool {
 	if e.Checksum == "" {
 		return true
 	}
-	_, sum, err := marshalEntry(e)
+	b := encPool.Get().(*encBufs)
+	defer encPool.Put(b)
+	sum, err := b.marshalCompact(e)
 	return err == nil && sum == e.Checksum
 }

@@ -317,13 +317,12 @@ func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 	// One marshal both verifies the entry and yields what is promoted: the
 	// canonical encoding of the verified value, never the file's own bytes
 	// (the checksum covers the value, not its whitespace).
-	compact, sum, err := marshalEntry(&e)
+	wire, sum, err := encodeEntry(&e, e.Checksum == "")
 	if err != nil || (e.Checksum != "" && e.Checksum != sum) {
 		s.count(s.met.checksumFails)
 		s.quarantine(tc, key, "checksum mismatch")
 		return nil, false, nil
 	}
-	wire = wireForm(compact, e.Checksum)
 	s.mu.Lock()
 	s.insert(key, wire)
 	s.mu.Unlock()
@@ -380,12 +379,11 @@ func (s *Store) put(tc *obs.TraceContext, e *Entry) ([]byte, error) {
 	if !ValidKey(e.Key) {
 		return nil, fmt.Errorf("store: malformed key %q", e.Key)
 	}
-	compact, sum, err := marshalEntry(e)
+	wire, sum, err := encodeEntry(e, false)
 	if err != nil {
 		return nil, err
 	}
 	e.Checksum = sum
-	wire := wireForm(compact, sum)
 	if err := s.faults.Err(faults.StoreWrite, "store put"); err != nil {
 		s.noteFault(tc, "store.put", faults.StoreWrite, e.Key, err)
 		return wire, err

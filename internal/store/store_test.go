@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -389,6 +390,21 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// barrier holds a transition open until a test has seen every party reach it:
+// parties Arrive (and block), the test Waits for all arrivals, then Releases.
+type barrier struct{ arrival, release sync.WaitGroup }
+
+func newBarrier(parties int) *barrier {
+	b := &barrier{}
+	b.arrival.Add(parties)
+	b.release.Add(1)
+	return b
+}
+
+func (b *barrier) Arrive()  { b.arrival.Done(); b.release.Wait() }
+func (b *barrier) Wait()    { b.arrival.Wait() }
+func (b *barrier) Release() { b.release.Done() }
+
 func TestGetOrComputeSingleFlight(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -396,45 +412,65 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	}
 	key := testKey(20)
 	var computes atomic.Int32
-	gate := make(chan struct{})
 	const callers = 8
+	// The flight is held open inside compute until all eight callers have
+	// been handed to the store, so the seven that do not compute meet it.
+	var entered sync.WaitGroup
+	entered.Add(callers)
+	flight := newBarrier(1)
 	var wg sync.WaitGroup
 	hits := make([]bool, callers)
+	got := make([]*Entry, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			entered.Done()
 			e, hit, err := s.GetOrCompute(key, func() (*Entry, error) {
 				computes.Add(1)
-				<-gate // hold the flight open until all callers have queued
+				flight.Arrive()
 				return testEntry(key, "tables"), nil
 			})
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
 			}
-			hits[i] = hit
-			if e.Tables != "tables" {
-				t.Errorf("caller %d got tables %q", i, e.Tables)
-			}
+			hits[i], got[i] = hit, e
 		}(i)
 	}
-	// Give every caller time to reach the store before releasing the one
-	// computation; the count assertion below is the real check.
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
+	flight.Wait()
+	entered.Wait()
+	flight.Release()
 	wg.Wait()
 	if got := computes.Load(); got != 1 {
 		t.Errorf("%d concurrent identical requests ran %d computations, want 1", callers, got)
 	}
-	misses := 0
-	for _, h := range hits {
+	winner := -1
+	for i, h := range hits {
 		if !h {
-			misses++
+			if winner >= 0 {
+				t.Errorf("callers %d and %d both reported a miss, want exactly the computing one", winner, i)
+			}
+			winner = i
 		}
 	}
-	if misses != 1 {
-		t.Errorf("%d callers reported a miss, want exactly the computing one", misses)
+	if winner < 0 {
+		t.Fatal("no caller reported a miss")
+	}
+	// The waiters receive entries equal to the winner's, each its own copy.
+	for i, e := range got {
+		if e == nil {
+			continue // already reported
+		}
+		if !reflect.DeepEqual(e, got[winner]) {
+			t.Errorf("caller %d got %+v, winner got %+v", i, e, got[winner])
+		}
+		if i != winner && e == got[winner] {
+			t.Errorf("caller %d shares the winner's *Entry", i)
+		}
+	}
+	if e := got[winner]; e.Tables != "tables" || e.Checksum == "" || !e.ChecksumOK() {
+		t.Errorf("winner's entry: tables %q checksum %q", e.Tables, e.Checksum)
 	}
 
 	// A later call is a plain memory hit with no recomputation.
