@@ -273,10 +273,10 @@ func TestClusterForwardingAndCrossNodeHit(t *testing.T) {
 		t.Error("owner reports zero local requests")
 	}
 	// The owner's store has the entry; the front node's does not (R=1).
-	if _, ok, _ := nodes[oi].store.GetCtx(ctx, key); !ok {
+	if _, ok, _ := nodes[oi].store.Get(key); !ok {
 		t.Error("owner store missing computed entry")
 	}
-	if _, ok, _ := front.store.GetCtx(ctx, key); ok {
+	if _, ok, _ := front.store.Get(key); ok {
 		t.Error("front node store has entry despite R=1")
 	}
 }
@@ -367,7 +367,7 @@ func TestClusterReplicationAndReadRepair(t *testing.T) {
 	for {
 		// The push writes the replica's store before the primary counts it,
 		// so wait on both: entry present AND counter visible.
-		_, ok, _ := replica.store.GetCtx(ctx, key)
+		_, ok, _ := replica.store.Get(key)
 		if ok && primary.node.Status().ReplicatedOut > 0 {
 			break
 		}
@@ -380,7 +380,7 @@ func TestClusterReplicationAndReadRepair(t *testing.T) {
 	if st := replica.node.Status(); st.ReplicatedIn == 0 {
 		t.Error("replica reports zero replicated_in")
 	}
-	if _, ok, _ := outsider.store.GetCtx(ctx, key); ok {
+	if _, ok, _ := outsider.store.Get(key); ok {
 		t.Fatalf("non-replica %s received the entry", outsider.name)
 	}
 
@@ -393,7 +393,7 @@ func TestClusterReplicationAndReadRepair(t *testing.T) {
 	if e.Key != key || e.Tables == "" {
 		t.Errorf("repaired entry malformed: key %s, %d table bytes", store.ShortKey(e.Key), len(e.Tables))
 	}
-	if _, ok, _ := outsider.store.GetCtx(ctx, key); !ok {
+	if _, ok, _ := outsider.store.Get(key); !ok {
 		t.Error("read-repair did not write the local copy")
 	}
 	if st := outsider.node.Status(); st.ReadRepairs == 0 {
@@ -401,9 +401,9 @@ func TestClusterReplicationAndReadRepair(t *testing.T) {
 	}
 
 	// The replicated and repaired copies carry the owner's exact bytes.
-	pe, _, _ := primary.store.GetCtx(ctx, key)
-	re, _, _ := replica.store.GetCtx(ctx, key)
-	oe, _, _ := outsider.store.GetCtx(ctx, key)
+	pe, _, _ := primary.store.Get(key)
+	re, _, _ := replica.store.Get(key)
+	oe, _, _ := outsider.store.Get(key)
 	if pe == nil || re == nil || oe == nil {
 		t.Fatal("entry missing from a store that should hold it")
 	}
@@ -434,7 +434,7 @@ func TestClusterFailover(t *testing.T) {
 	if js = waitDone(t, front, js.ID); js.State != service.StateDone {
 		t.Fatalf("healthy job state %s, error %q", js.State, js.Error)
 	}
-	healthy, ok, _ := owner.store.GetCtx(ctx, key)
+	healthy, ok, _ := owner.store.Get(key)
 	if !ok {
 		t.Fatal("owner store missing entry after healthy pass")
 	}
@@ -466,7 +466,7 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// The fallback computation is byte-identical to the owner's.
-	local, ok, _ := front.store.GetCtx(ctx, key)
+	local, ok, _ := front.store.Get(key)
 	if !ok {
 		t.Fatal("front store missing entry after local fallback")
 	}
@@ -522,8 +522,7 @@ func TestClusterReplicateEndpointRejectsBadEntries(t *testing.T) {
 	if code := put("not-a-key", map[string]any{"key": key}); code != http.StatusBadRequest {
 		t.Errorf("malformed-key PUT returned %d, want 400", code)
 	}
-	ctx := context.Background()
-	if _, ok, _ := tn.store.GetCtx(ctx, key); ok {
+	if _, ok, _ := tn.store.Get(key); ok {
 		t.Error("rejected replication wrote to the store anyway")
 	}
 }

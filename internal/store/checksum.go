@@ -5,31 +5,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sync"
 )
 
-// encBufs are the encoder's scratch buffers. Only the exact-size wire form
-// outlives an encoding, so a Put allocates one encoding's worth, not three.
-type encBufs struct{ compact, indented bytes.Buffer }
-
-var encPool = sync.Pool{New: func() any { return new(encBufs) }}
-
-// marshalCompact is the one json.Marshal an entry gets: it writes the
-// entry's compact JSON encoding with the Checksum field empty into b.compact
-// and returns that encoding's hex SHA-256 — the entry's checksum. Struct
-// field order fixes the JSON field order, so the encoding is canonical and
-// the checksum is stable across marshal/unmarshal round trips. It fails only
-// on a Metrics value that is not valid JSON.
-func (b *encBufs) marshalCompact(e *Entry) (sum string, err error) {
+// marshalEntry is the one json.Marshal an entry gets: it returns the entry's
+// compact JSON encoding with the Checksum field empty, and that encoding's
+// hex SHA-256 — the entry's checksum. Struct field order fixes the JSON
+// field order, so the encoding is canonical and the checksum is stable
+// across marshal/unmarshal round trips. It fails only on a Metrics value
+// that is not valid JSON.
+func marshalEntry(e *Entry) (compact []byte, sum string, err error) {
 	c := *e
 	c.Checksum = ""
-	b.compact.Reset()
-	if err := json.NewEncoder(&b.compact).Encode(&c); err != nil {
-		return "", err
+	if compact, err = json.Marshal(&c); err != nil {
+		return nil, "", err
 	}
-	b.compact.Truncate(b.compact.Len() - 1) // Encode is Marshal plus a newline
-	h := sha256.Sum256(b.compact.Bytes())
-	return hex.EncodeToString(h[:]), nil
+	h := sha256.Sum256(compact)
+	return compact, hex.EncodeToString(h[:]), nil
 }
 
 // encodeEntry marshals e once and returns its checksum and its wire form,
@@ -41,24 +32,23 @@ func (b *encBufs) marshalCompact(e *Entry) (sum string, err error) {
 // MarshalIndent is Marshal followed by Indent. The wire slice is exact-size:
 // it stays resident in the LRU.
 func encodeEntry(e *Entry, legacy bool) (wire []byte, sum string, err error) {
-	b := encPool.Get().(*encBufs)
-	defer encPool.Put(b)
-	if sum, err = b.marshalCompact(e); err != nil {
+	compact, sum, err := marshalEntry(e)
+	if err != nil {
 		return nil, "", err
 	}
 	if !legacy {
 		// Checksum is the struct's last field and created_at, before it,
 		// is never omitted: the field goes in front of the closing brace.
-		b.compact.Truncate(b.compact.Len() - 1)
-		b.compact.WriteString(`,"checksum":"` + sum + `"}`)
+		compact = append(compact[:len(compact)-1], `,"checksum":"`+sum+`"}`...)
 	}
-	b.indented.Reset()
-	if err := json.Indent(&b.indented, b.compact.Bytes(), "", "  "); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(len(compact) + len(compact)/4)
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
 		return nil, "", err
 	}
-	b.indented.WriteByte('\n')
-	wire = make([]byte, b.indented.Len())
-	copy(wire, b.indented.Bytes())
+	buf.WriteByte('\n')
+	wire = make([]byte, buf.Len())
+	copy(wire, buf.Bytes())
 	return wire, sum, nil
 }
 
@@ -68,8 +58,6 @@ func (e *Entry) ChecksumOK() bool {
 	if e.Checksum == "" {
 		return true
 	}
-	b := encPool.Get().(*encBufs)
-	defer encPool.Put(b)
-	sum, err := b.marshalCompact(e)
+	_, sum, err := marshalEntry(e)
 	return err == nil && sum == e.Checksum
 }

@@ -373,11 +373,11 @@ func TestCachedReadAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// TestPutMarshalsOnce bounds what Put of the large entry allocates. With one
-// marshal into pooled scratch only the resident encoding is new (measured
-// 1.4 encodings with the encoder's own scratch); a second marshal of the
-// entry adds at least its compact form, 0.9 of an encoding, and the two
-// Marshal calls Put used to make read 2.8.
+// TestPutMarshalsOnce bounds what Put of the large entry allocates. One
+// marshal costs the compact encoding, the indent buffer and the resident
+// copy: three buffers of about an encoding each (measured 3.1). A second
+// json.Marshal of the entry anywhere in Put adds its compact form, 0.9 of an
+// encoding, and crosses the ceiling.
 func TestPutMarshalsOnce(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -398,8 +398,8 @@ func TestPutMarshalsOnce(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perPut := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	if ratio := perPut / float64(len(wire)); ratio > 2 {
-		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want under 2", len(wire), perPut, ratio)
+	if ratio := perPut / float64(len(wire)); ratio > 3.5 {
+		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want about 3.1", len(wire), perPut, ratio)
 	} else {
 		t.Logf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings)", len(wire), perPut, ratio)
 	}

@@ -233,12 +233,7 @@ func (s *Store) QuarantinePath(key string) string {
 // Get returns the cached entry for key, decoded from its stored encoding:
 // every call returns its own *Entry. See GetBytes for the read itself.
 func (s *Store) Get(key string) (*Entry, bool, error) {
-	return s.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get under a request context (see GetBytes).
-func (s *Store) GetCtx(ctx context.Context, key string) (*Entry, bool, error) {
-	wire, ok, err := s.GetBytes(ctx, key)
+	wire, ok, err := s.GetBytes(context.Background(), key)
 	if !ok || err != nil {
 		return nil, false, err
 	}
@@ -453,15 +448,12 @@ func (s *Store) memUsage() (entries int, bytes int64) {
 // write caches the computed entry in memory only (writes_degraded), so
 // compute errors (and an entry that cannot be encoded) are the only errors
 // GetOrCompute returns.
+//
+// The entry is decoded from the stored encoding, so every caller, the
+// computing one included, receives its own copy; see GetOrComputeBytes for
+// the serving path's form.
 func (s *Store) GetOrCompute(key string, compute func() (*Entry, error)) (*Entry, bool, error) {
-	return s.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute under a request context (see
-// GetOrComputeBytes); the entry is decoded from the stored encoding, so
-// every caller, the computing one included, receives its own copy.
-func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() (*Entry, error)) (*Entry, bool, error) {
-	wire, hit, err := s.GetOrComputeBytes(ctx, key, compute)
+	wire, hit, err := s.GetOrComputeBytes(context.Background(), key, compute)
 	if err != nil {
 		return nil, false, err
 	}
@@ -469,9 +461,9 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 	return e, hit && err == nil, err
 }
 
-// GetOrComputeBytes is GetOrCompute returning the wire encoding instead of a
-// decoded entry (shared, read-only — see GetBytes). The embedded read and
-// write emit store spans, a caller blocked on another caller's in-flight
+// GetOrComputeBytes is GetOrCompute under a request context, returning the
+// wire encoding instead of a decoded entry (shared, read-only — see
+// GetBytes). The embedded read and write emit store spans, a caller blocked on another caller's in-flight
 // computation emits a "store.flight-wait" span (making single-flight dedup
 // visible on the timeline), and degraded paths log with the trace ID.
 func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func() (*Entry, error)) ([]byte, bool, error) {
