@@ -181,6 +181,20 @@ func TestTenantQuotaReleasedOnCancelAndFailure(t *testing.T) {
 	s, c := tenantServer(t, "acme:key-acme:2:8", service.Config{Workers: 1})
 	ctx := context.Background()
 	acme := asTenant(c, "key-acme")
+	waitIdle := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			ten := s.Status().Tenants["acme"]
+			if ten.Active == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("tenant slots leaked: %+v", ten)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 
 	// Slot 1: a job that occupies the single worker.
 	blocker, err := acme.Submit(ctx, service.SubmitRequest{Experiment: "test-block", Seed: 71, Runs: 1, Quick: true})
@@ -213,6 +227,9 @@ func TestTenantQuotaReleasedOnCancelAndFailure(t *testing.T) {
 	if js := waitTerminal(t, acme, queued.ID); js.State != service.StateFailed {
 		t.Fatalf("cancelled queued job = %s, want failed", js.State)
 	}
+	// A job's terminal state is visible to a poll a moment before its slot
+	// is returned; wait for the slots themselves.
+	waitIdle()
 	if _, err := acme.Submit(ctx, service.SubmitRequest{Experiment: "fig7", Seed: 74, Runs: 1, Quick: true}); err != nil {
 		t.Fatalf("submit after cancel did not reuse the freed slots: %v", err)
 	}
@@ -227,17 +244,7 @@ func TestTenantQuotaReleasedOnCancelAndFailure(t *testing.T) {
 		t.Fatalf("test-fail job = %s, want failed", js.State)
 	}
 	// Every admitted job has reached a terminal state: active must be 0.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ten := s.Status().Tenants["acme"]
-		if ten.Active == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tenant slots leaked: %+v", ten)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitIdle()
 }
 
 // waitTerminal polls a job through the client until it is done or failed.

@@ -42,7 +42,7 @@ func encodeEntry(e *Entry, legacy bool) (wire []byte, sum string, err error) {
 		compact = append(compact[:len(compact)-1], `,"checksum":"`+sum+`"}`...)
 	}
 	var buf bytes.Buffer
-	buf.Grow(len(compact) + len(compact)/4)
+	buf.Grow(5 * len(compact) / 2) // a fig7 entry indents to 2.24× its compact form
 	if err := json.Indent(&buf, compact, "", "  "); err != nil {
 		return nil, "", err
 	}

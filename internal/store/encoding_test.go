@@ -374,11 +374,15 @@ func TestCachedReadAllocsIndependentOfSize(t *testing.T) {
 }
 
 // TestPutMarshalsOnce bounds what Put of the large entry allocates. One
-// marshal costs the compact encoding, the indent buffer and the resident
-// copy: three buffers of about an encoding each (measured 3.1). A second
-// json.Marshal of the entry anywhere in Put adds its compact form, 0.9 of an
-// encoding, and crosses the ceiling.
+// marshal costs the compact encoding (0.45 of the wire form: indenting the
+// metrics more than doubles them), the indent buffer (1.1) and the resident
+// copy (1.0), plus the temp file's bookkeeping: measured 2.5–2.7 encodings. A
+// second json.Marshal of the entry anywhere in Put adds its compact form and
+// crosses the ceiling; MarshalIndent's own buffers would add more.
 func TestPutMarshalsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -398,8 +402,8 @@ func TestPutMarshalsOnce(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perPut := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	if ratio := perPut / float64(len(wire)); ratio > 3.5 {
-		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want about 3.1", len(wire), perPut, ratio)
+	if ratio := perPut / float64(len(wire)); ratio > 2.85 {
+		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want about 2.6", len(wire), perPut, ratio)
 	} else {
 		t.Logf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings)", len(wire), perPut, ratio)
 	}
