@@ -463,9 +463,10 @@ func (s *Store) GetOrCompute(key string, compute func() (*Entry, error)) (*Entry
 
 // GetOrComputeBytes is GetOrCompute under a request context, returning the
 // wire encoding instead of a decoded entry (shared, read-only — see
-// GetBytes). The embedded read and write emit store spans, a caller blocked on another caller's in-flight
-// computation emits a "store.flight-wait" span (making single-flight dedup
-// visible on the timeline), and degraded paths log with the trace ID.
+// GetBytes). The embedded read and write emit store spans, a caller blocked
+// on another caller's in-flight computation emits a "store.flight-wait" span
+// (making single-flight dedup visible on the timeline), and degraded paths
+// log with the trace ID.
 func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func() (*Entry, error)) ([]byte, bool, error) {
 	tc := obs.TraceContextFrom(ctx)
 	wire, ok, err := s.GetBytes(ctx, key)
