@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,4 +64,25 @@ func TestGoldenTables(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstDiffLine returns the first line of a that differs from b, with its
+// index, for readable failure output.
+func firstDiffLine(a, b string) string {
+	la, lb := []byte(a), []byte(b)
+	line, col := 1, 0
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			break
+		}
+		if la[i] == '\n' {
+			line++
+			col = i + 1
+		}
+	}
+	end := col
+	for end < len(la) && la[end] != '\n' {
+		end++
+	}
+	return fmt.Sprintf("line %d: %q", line, string(la[col:end]))
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,51 +62,6 @@ func parMap[T any](par, n int, fn func(i int) T) []T {
 func parMapCost[T any](par, n int, cost func(i int) float64, name string, fn func(i int) T) []T {
 	out := make([]T, n)
 	sched.Map(par, n, func(i int) { out[i] = fn(i) }, sched.Options{Cost: cost, Name: name})
-	return out
-}
-
-// fixedParMap is the pre-stealing fixed pool: par workers claiming jobs off
-// a single shared counter in submission order. It is retained only as the
-// baseline the `runner` bench driver measures the stealing scheduler
-// against — no driver fans over it.
-func fixedParMap[T any](par, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &workerPanic{Val: r, Stack: debug.Stack()})
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(r)
-	}
 	return out
 }
 

@@ -238,52 +238,75 @@ func patternPick(cfg Config, pat Pattern) pickFn {
 	}
 }
 
-// oneAccess performs the non-blocking middle of an access — the shared
-// medium (if any) and bank reservations plus their observations — at the
-// instant the request issues (after ReqOverhead). It returns the time the
-// reply reaches the processor. Both accessor forms call it between their two
-// waits.
-func oneAccess(now sim.Time, cfg Config, bank int, banks []*sim.Server, medium *sim.Server, bo bankObs) sim.Time {
+// bench is the simulation behind one microbenchmark run: the engine, one
+// Server per bank, the shared medium if the architecture has one, and the
+// per-processor access-time totals the accessors fill in.
+type bench struct {
+	cfg    Config
+	pat    Pattern
+	n      int // accesses per processor
+	e      *sim.Engine
+	banks  []*sim.Server
+	medium *sim.Server
+	bo     bankObs
+	totals []sim.Time
+}
+
+// newBench validates cfg and builds the engine and servers of one run of n
+// accesses per processor, observed through rec when it is not nil.
+func newBench(cfg Config, pat Pattern, n int, rec *obs.Recorder) *bench {
+	if cfg.Procs <= 0 || cfg.Banks <= 0 {
+		panic("membank: procs and banks must be positive")
+	}
+	b := &bench{cfg: cfg, pat: pat, n: n, e: sim.NewEngine()}
+	if rec != nil {
+		b.e.Observe(rec)
+	}
+	b.bo = newBankObs(rec, cfg, pat)
+	b.banks = make([]*sim.Server, cfg.Banks)
+	for i := range b.banks {
+		b.banks[i] = b.e.NewServer()
+	}
+	if cfg.SharedMedium {
+		b.medium = b.e.NewServer()
+	}
+	b.totals = make([]sim.Time, cfg.Procs)
+	return b
+}
+
+// procSeed derives processor pid's rng seed from the run's seed.
+func procSeed(seed int64, pid int) int64 {
+	return int64(stats.Mix64(uint64(seed), uint64(pid)))
+}
+
+// access performs the non-blocking middle of an access — the shared medium
+// (if any) and bank reservations plus their observations — at the instant
+// the request issues (after ReqOverhead). It returns the time the reply
+// reaches the processor.
+func (b *bench) access(now sim.Time, bank int) sim.Time {
+	cfg := &b.cfg
 	arrive := now + cfg.WireLatency
-	if medium != nil {
-		mStart, mEnd := medium.UseAt(now, cfg.MediumTime)
+	if b.medium != nil {
+		mStart, mEnd := b.medium.UseAt(now, cfg.MediumTime)
 		arrive = mEnd + cfg.WireLatency
-		if bo.rec != nil {
-			bo.rec.Span(bo.pid, cfg.Banks, "medium", "frame", uint64(mStart), uint64(mEnd))
+		if b.bo.rec != nil {
+			b.bo.rec.Span(b.bo.pid, cfg.Banks, "medium", "frame", uint64(mStart), uint64(mEnd))
 		}
 	}
-	bStart, bEnd := banks[bank].UseAt(arrive, cfg.BankTime)
-	bo.observe(cfg, bank, arrive, bStart, bEnd)
+	bStart, bEnd := b.banks[bank].UseAt(arrive, cfg.BankTime)
+	b.bo.observe(*cfg, bank, arrive, bStart, bEnd)
 	return bEnd + cfg.WireLatency
 }
 
-// goAccessor is the goroutine form of a processor: n synchronous accesses,
-// each a ReqOverhead advance, the reservations, and an advance to the reply.
-// It is the reference semantics the stepped form must reproduce exactly.
-func goAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, pid int) func(*sim.Proc) {
-	return func(p *sim.Proc) {
-		rng := p.Rand()
-		start := p.Now()
-		for a := 0; a < n; a++ {
-			bank := pick(pid, rng)
-			t0 := p.Now()
-			p.Advance(cfg.ReqOverhead)
-			done := oneAccess(p.Now(), cfg, bank, banks, medium, bo)
-			p.Advance(done - p.Now())
-			bo.cycles.Observe(float64(p.Now() - t0))
-		}
-		totals[pid] = p.Now() - start
-	}
-}
-
-// stepAccessor is the state-machine form of the same processor: a two-state
-// Step function the event loop drives directly, with no goroutine. Each
-// access is one trip around stBegin (pick the bank, sleep through the issue
-// overhead) and stService (make the reservations, sleep until the reply).
-// Every rng draw, Server reservation and event-slot consumption happens in
-// the same order as goAccessor's, so runs are byte-identical between forms;
-// TestSteppedMatchesGoroutine pins this.
-func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, pid int) sim.StepFn {
+// stepAccessor is processor pid as a state machine: a two-state Step
+// function the event loop drives directly, with no goroutine. Each access is
+// one trip around stBegin (pick the bank, sleep through the issue overhead)
+// and stService (make the reservations, sleep until the reply). Every rng
+// draw, Server reservation and event-slot consumption happens in the same
+// order as in the straight-line goroutine form kept in stepped_test.go, so
+// runs are byte-identical between forms; TestSteppedMatchesGoroutine pins
+// this.
+func (b *bench) stepAccessor(pick pickFn, pid int) sim.StepFn {
 	const (
 		stBegin   = iota // at the top of the access loop (or just woken by a reply)
 		stService        // woken after ReqOverhead: issue the access
@@ -300,18 +323,18 @@ func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *s
 				first = false
 				start = sp.Now()
 			} else {
-				bo.cycles.Observe(float64(sp.Now() - t0))
+				b.bo.cycles.Observe(float64(sp.Now() - t0))
 			}
-			if a == n {
-				totals[pid] = sp.Now() - start
+			if a == b.n {
+				b.totals[pid] = sp.Now() - start
 				return sim.StepDone
 			}
 			bank = pick(pid, sp.Rand())
 			t0 = sp.Now()
 			state = stService
-			return sp.Sleep(cfg.ReqOverhead)
+			return sp.Sleep(b.cfg.ReqOverhead)
 		default: // stService
-			done := oneAccess(sp.Now(), cfg, bank, banks, medium, bo)
+			done := b.access(sp.Now(), bank)
 			a++
 			state = stBegin
 			return sp.SleepUntil(done)
@@ -319,42 +342,35 @@ func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *s
 	}
 }
 
-// spawnAccessors starts one processor per pid in whichever form
-// sim.UseStepProcs selects, with the per-pid seed derivation both forms
-// share.
-func spawnAccessors(e *sim.Engine, cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, seed int64) {
-	for pid := 0; pid < cfg.Procs; pid++ {
-		name := fmt.Sprintf("proc%d", pid)
-		pseed := int64(stats.Mix64(uint64(seed), uint64(pid)))
-		if sim.UseStepProcs {
-			e.SpawnStepSeeded(name, pseed, stepAccessor(cfg, pick, n, banks, medium, bo, totals, pid))
-		} else {
-			e.SpawnSeeded(name, pseed, goAccessor(cfg, pick, n, banks, medium, bo, totals, pid))
-		}
+// run spawns one stepped processor per pid and finishes the simulation.
+func (b *bench) run(pick pickFn, seed int64) Result {
+	for pid := 0; pid < b.cfg.Procs; pid++ {
+		b.e.SpawnStepSeeded(fmt.Sprintf("proc%d", pid), procSeed(seed, pid), b.stepAccessor(pick, pid))
 	}
+	return b.finish()
 }
 
 // finish runs the simulation and folds the per-processor totals and bank
 // busy-cycles into a Result.
-func finish(e *sim.Engine, cfg Config, pat Pattern, n int, banks []*sim.Server, totals []sim.Time) Result {
-	if err := e.Run(); err != nil {
+func (b *bench) finish() Result {
+	if err := b.e.Run(); err != nil {
 		panic(err)
 	}
 	var sum float64
-	for _, t := range totals {
+	for _, t := range b.totals {
 		sum += float64(t)
 	}
-	avg := sum / float64(cfg.Procs) / float64(n)
+	avg := sum / float64(b.cfg.Procs) / float64(b.n)
 	var maxUtil float64
-	end := float64(e.Now())
-	for _, b := range banks {
+	end := float64(b.e.Now())
+	for _, bank := range b.banks {
 		if end > 0 {
-			if u := float64(b.BusyCycles()) / end; u > maxUtil {
+			if u := float64(bank.BusyCycles()) / end; u > maxUtil {
 				maxUtil = u
 			}
 		}
 	}
-	return Result{Config: cfg, Pattern: pat, Accesses: n, AvgCycles: avg, MaxBankUtil: maxUtil}
+	return Result{Config: b.cfg, Pattern: b.pat, Accesses: b.n, AvgCycles: avg, MaxBankUtil: maxUtil}
 }
 
 // RunObserved is Run with an observability recorder (nil behaves exactly
@@ -362,25 +378,7 @@ func finish(e *sim.Engine, cfg Config, pat Pattern, n int, banks []*sim.Server, 
 // end-to-end access-time histogram, and bank-occupancy trace spans keyed by
 // pattern so Random, Conflict and NoConflict render as separate processes.
 func RunObserved(cfg Config, pat Pattern, accessesPerProc int, seed int64, rec *obs.Recorder) Result {
-	if cfg.Procs <= 0 || cfg.Banks <= 0 {
-		panic("membank: procs and banks must be positive")
-	}
-	e := sim.NewEngine()
-	if rec != nil {
-		e.Observe(rec)
-	}
-	bo := newBankObs(rec, cfg, pat)
-	banks := make([]*sim.Server, cfg.Banks)
-	for i := range banks {
-		banks[i] = e.NewServer()
-	}
-	var medium *sim.Server
-	if cfg.SharedMedium {
-		medium = e.NewServer()
-	}
-	totals := make([]sim.Time, cfg.Procs)
-	spawnAccessors(e, cfg, patternPick(cfg, pat), accessesPerProc, banks, medium, bo, totals, seed)
-	return finish(e, cfg, pat, accessesPerProc, banks, totals)
+	return newBench(cfg, pat, accessesPerProc, rec).run(patternPick(cfg, pat), seed)
 }
 
 // RunAll measures every pattern on cfg.
@@ -398,6 +396,19 @@ func RunAllObserved(cfg Config, accessesPerProc int, seed int64, rec *obs.Record
 	return out
 }
 
+// hotPick targets bank 0 with probability hotFrac and a uniformly random
+// bank otherwise. Both draws happen on every access so the rng stream is
+// pattern-shaped only by hotFrac, not by which branch wins.
+func hotPick(cfg Config, hotFrac float64) pickFn {
+	return func(_ int, rng *rand.Rand) int {
+		bank := rng.Intn(cfg.Banks)
+		if rng.Float64() < hotFrac {
+			bank = 0
+		}
+		return bank
+	}
+}
+
 // RunHotFraction runs the microbenchmark with a partial hot spot: each
 // access targets bank 0 with probability hotFrac and a uniformly random
 // bank otherwise — the paper's closing caveat that real programs are less
@@ -406,25 +417,5 @@ func RunHotFraction(cfg Config, hotFrac float64, accessesPerProc int, seed int64
 	if hotFrac < 0 || hotFrac > 1 {
 		panic("membank: hotFrac must be in [0,1]")
 	}
-	e := sim.NewEngine()
-	banks := make([]*sim.Server, cfg.Banks)
-	for i := range banks {
-		banks[i] = e.NewServer()
-	}
-	var medium *sim.Server
-	if cfg.SharedMedium {
-		medium = e.NewServer()
-	}
-	totals := make([]sim.Time, cfg.Procs)
-	// Both draws happen on every access so the rng stream is pattern-shaped
-	// only by hotFrac, not by which branch wins.
-	pick := func(_ int, rng *rand.Rand) int {
-		bank := rng.Intn(cfg.Banks)
-		if rng.Float64() < hotFrac {
-			bank = 0
-		}
-		return bank
-	}
-	spawnAccessors(e, cfg, pick, accessesPerProc, banks, medium, bankObs{}, totals, seed)
-	return finish(e, cfg, Random, accessesPerProc, banks, totals)
+	return newBench(cfg, Random, accessesPerProc, nil).run(hotPick(cfg, hotFrac), seed)
 }

@@ -157,3 +157,26 @@ func TestHotFractionBadInputPanics(t *testing.T) {
 	}()
 	RunHotFraction(SMPNative(), 1.5, 10, 1)
 }
+
+// TestBadConfigPanics: both entry points reject a config without processors
+// or banks up front, instead of dividing by zero or panicking inside
+// math/rand on the engine goroutine.
+func TestBadConfigPanics(t *testing.T) {
+	noBanks, noProcs := SMPNative(), SMPNative()
+	noBanks.Banks, noProcs.Procs = 0, 0
+	for name, run := range map[string]func(){
+		"Run/banks=0":            func() { Run(noBanks, Random, 10, 1) },
+		"Run/procs=0":            func() { Run(noProcs, Random, 10, 1) },
+		"RunHotFraction/banks=0": func() { RunHotFraction(noBanks, 0.5, 10, 1) },
+		"RunHotFraction/procs=0": func() { RunHotFraction(noProcs, 0.5, 10, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "membank: procs and banks must be positive" {
+					t.Errorf("recovered %v, want the procs-and-banks panic", r)
+				}
+			}()
+			run()
+		})
+	}
+}

@@ -28,7 +28,8 @@ type BenchRecord struct {
 	Allocs       uint64  `json:"allocs"`
 
 	// Extra carries driver-specific named values (the runner driver's
-	// schedule-model makespans and measured pool timings). Keys prefixed
+	// schedule-model makespans and the stealing pool's measured wall times
+	// and steal counts). Keys prefixed
 	// "model_" are deterministic functions of the workload and are gated
 	// exactly by scripts/perfcheck.py; "measured_" keys are wall-clock
 	// observations recorded for the trajectory but not gated.

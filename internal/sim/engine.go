@@ -26,10 +26,10 @@
 // Because exactly one process runs at any instant and all ties are broken
 // by sequence number, a simulation with a fixed seed is fully reproducible.
 //
-// Events scheduled for the current instant bypass the time-ordered
-// scheduler and drain through a FIFO ring (the same-timestamp cohort), and
-// the scheduler behind the future-event queue is selectable: the default
-// 4-ary heap or a calendar queue (see Scheduler).
+// There is one pending-event queue: a 4-ary heap ordered by (time, seq),
+// whose O(log n) bound holds for any schedule, fronted by a FIFO ring (the
+// same-timestamp cohort) that events scheduled for the current instant
+// drain through without touching the heap.
 //
 // Engines are single-threaded and carry no shared state, so independent
 // engines may run concurrently on separate goroutines; the experiment
@@ -60,39 +60,8 @@ var totalEvents atomic.Uint64
 // counts when Run returns.
 func TotalEvents() uint64 { return totalEvents.Load() }
 
-// Scheduler names a pending-event queue implementation.
-type Scheduler string
-
-// Available schedulers. SchedHeap is the default. Measured honestly
-// (BenchmarkHeapVsCalendarQueue, DESIGN.md): the calendar queue wins where
-// scheduler operations dominate — 2-3× per event on pure stepped-process
-// schedules, a few percent end-to-end on membank/fig7 — and ties on
-// goroutine-dominated workloads where the context switch is the cost. The
-// heap stays the default because its O(log n) bound holds for any schedule,
-// while the calendar queue degrades to full-bucket scans on schedules whose
-// event spacing defeats its width estimate; SchedCalendar is the measured
-// opt-in, not a heuristic.
-const (
-	SchedHeap     Scheduler = "heap"
-	SchedCalendar Scheduler = "calendar"
-)
-
-// DefaultScheduler selects the scheduler NewEngine uses. It exists so one
-// switch (cmd/qsmbench -sched) can steer every engine an experiment builds,
-// including those built on worker goroutines; set it before engines are
-// created, not while simulations run. Results are byte-identical under
-// either scheduler — only wall-clock speed differs.
-var DefaultScheduler = SchedHeap
-
-// UseStepProcs selects whether converted subsystems (internal/membank) run
-// their hot processes as state-machine StepProcs (true, the default) or as
-// goroutine Procs. Both modes produce byte-identical simulation results;
-// the goroutine mode exists for differential testing and as the reference
-// semantics. Set it before engines are created, not while simulations run.
-var UseStepProcs = true
-
-// Engine is a deterministic discrete-event simulator. The zero value is not
-// usable; create engines with NewEngine.
+// Engine is a deterministic discrete-event simulator; create engines with
+// NewEngine.
 type Engine struct {
 	now Time
 	seq uint64
@@ -100,10 +69,8 @@ type Engine struct {
 	// Pending events live in one of two places: nowq, a FIFO ring holding
 	// the remainder of the current instant's cohort (events scheduled for
 	// t == now while the engine executes that instant), and the
-	// time-ordered scheduler behind it — the 4-ary heap by default, or the
-	// calendar queue when selected. Exactly one of cal/heap is active.
+	// time-ordered 4-ary heap behind it.
 	heap eventHeap
-	cal  *calQueue
 	nowq eventRing
 
 	free    []*event // recycled event structs, refilled as events fire
@@ -122,18 +89,8 @@ type Engine struct {
 	obsDwell   *obs.Histogram
 }
 
-// NewEngine returns an empty engine at time zero using DefaultScheduler.
-func NewEngine() *Engine { return NewEngineSched(DefaultScheduler) }
-
-// NewEngineSched returns an empty engine at time zero using the named
-// scheduler.
-func NewEngineSched(kind Scheduler) *Engine {
-	e := &Engine{}
-	if kind == SchedCalendar {
-		e.cal = newCalQueue()
-	}
-	return e
-}
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -174,7 +131,7 @@ func (e *Engine) Reset() {
 		}
 	}
 	for {
-		ev := e.qpop()
+		ev := e.heap.popMin()
 		if ev == nil {
 			break
 		}
@@ -234,50 +191,29 @@ func (e *Engine) recycle(ev *event) {
 
 // qpush enqueues a pending event: the same-timestamp ring when it fires at
 // the current instant (append order is seq order there), the time-ordered
-// scheduler otherwise.
+// heap otherwise.
 func (e *Engine) qpush(ev *event) {
 	if ev.at == e.now {
 		e.nowq.push(ev)
-	} else if e.cal != nil {
-		e.cal.push(ev)
 	} else {
 		e.heap.push(ev)
 	}
 	e.obsQueueHW.Set(int64(e.pending()))
 }
 
-// qpop removes the earliest event from the time-ordered scheduler.
-func (e *Engine) qpop() *event {
-	if e.cal != nil {
-		return e.cal.popMin()
-	}
-	return e.heap.popMin()
-}
-
 // pending returns the total number of queued events across both stores.
-func (e *Engine) pending() int {
-	n := e.heap.Len() + e.nowq.count
-	if e.cal != nil {
-		n += e.cal.Len()
-	}
-	return n
-}
+func (e *Engine) pending() int { return e.heap.Len() + e.nowq.count }
 
-// peekLive returns the scheduler's earliest live event without removing it,
-// recycling any cancelled events found at the front. nil means the
-// time-ordered scheduler is empty (the nowq ring may still hold events).
+// peekLive returns the heap's earliest live event without removing it,
+// recycling any cancelled events found at the front. nil means the heap is
+// empty (the nowq ring may still hold events).
 func (e *Engine) peekLive() *event {
 	for {
-		var ev *event
-		if e.cal != nil {
-			ev = e.cal.peek()
-		} else {
-			ev = e.heap.peek()
-		}
+		ev := e.heap.peek()
 		if ev == nil || !ev.cancelled {
 			return ev
 		}
-		e.qpop()
+		e.heap.popMin()
 		e.recycle(ev)
 	}
 }
@@ -327,18 +263,17 @@ func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
 // nextEvent returns the next live event in (time, seq) order, advancing the
 // clock when the current instant's cohort is exhausted. The cohort drains in
-// two legs that together follow seq order: scheduler events that reached
+// two legs that together follow seq order: heap events that reached
 // the current timestamp first (they were scheduled from earlier instants,
 // so their seqs are the cohort's lowest), then the nowq ring of events
 // scheduled during the instant itself. Only a cohort boundary touches the
-// time-ordered scheduler, so same-timestamp bursts cost O(1) ring
-// operations instead of heap sifts.
+// heap, so same-timestamp bursts cost O(1) ring operations instead of sifts.
 func (e *Engine) nextEvent() *event {
 	for {
 		nxt := e.peekLive()
 		switch {
 		case nxt != nil && nxt.at == e.now:
-			return e.qpop()
+			return e.heap.popMin()
 		case e.nowq.count > 0:
 			ev := e.nowq.pop()
 			if ev.cancelled {
@@ -348,7 +283,7 @@ func (e *Engine) nextEvent() *event {
 			return ev
 		case nxt != nil:
 			e.now = nxt.at
-			return e.qpop()
+			return e.heap.popMin()
 		default:
 			return nil
 		}

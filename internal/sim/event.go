@@ -26,8 +26,8 @@ type event struct {
 // event is a no-op.
 func (ev *event) Cancel() { ev.cancelled = true }
 
-// eventLess orders events by (at, seq): the scheduler invariant every queue
-// implementation (4-ary heap, calendar queue, same-time ring) must preserve.
+// eventLess orders events by (at, seq): the invariant both stores of the
+// pending-event queue (4-ary heap, same-time ring) preserve.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -38,7 +38,6 @@ func eventLess(a, b *event) bool {
 // eventHeap is a concrete 4-ary min-heap ordered by (at, seq). The wide node
 // halves the tree depth of the binary heap it replaced, and the monomorphic
 // methods avoid container/heap's interface boxing on every push and pop.
-// It is the engine's default scheduler; see calQueue for the alternative.
 type eventHeap struct{ evs []*event }
 
 func (h *eventHeap) Len() int { return len(h.evs) }
@@ -107,7 +106,7 @@ func (h *eventHeap) popMin() *event {
 }
 
 // eventRing is the engine's same-timestamp cohort FIFO: events scheduled for
-// the current instant bypass the time-ordered scheduler entirely and drain
+// the current instant bypass the time-ordered heap entirely and drain
 // in append order. Because the engine assigns seq monotonically, append
 // order IS (at, seq) order for events that share the current timestamp, so
 // the ring preserves the determinism invariant while turning the O(log n)

@@ -102,9 +102,9 @@ type outcome struct {
 	metrics string // "" without a recorder
 }
 
-func runSchedule(s schedule, asSteps bool, kind Scheduler, observe bool) outcome {
+func runSchedule(s schedule, asSteps, observe bool) outcome {
 	var out outcome
-	e := NewEngineSched(kind)
+	e := NewEngine()
 	var rec *obs.Recorder
 	if observe {
 		rec = obs.New(obs.Config{Metrics: true})
@@ -231,15 +231,15 @@ func runSchedule(s schedule, asSteps bool, kind Scheduler, observe bool) outcome
 }
 
 // TestProcStepProcDifferential runs random schedules as coroutine processes
-// and as state-machine processes, on both schedulers, observed and not, and
-// requires one behaviour: the same operation order at the same times, the
-// same event count, final clock and error (deadlock reports included), and
-// the same sim obs series, the queue-depth gauge compared sample by sample.
+// and as state-machine processes, observed and not, and requires one
+// behaviour: the same operation order at the same times, the same event
+// count, final clock and error (deadlock reports included), and the same
+// sim obs series, the queue-depth gauge compared sample by sample.
 func TestProcStepProcDifferential(t *testing.T) {
 	completed, deadlocked := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		s := randomSchedule(rand.New(rand.NewSource(seed)))
-		ref := runSchedule(s, true, SchedHeap, true)
+		ref := runSchedule(s, true, true)
 		if ref.err == "" {
 			completed++
 		} else {
@@ -247,17 +247,14 @@ func TestProcStepProcDifferential(t *testing.T) {
 		}
 		for _, mode := range []struct {
 			asSteps bool
-			kind    Scheduler
 			observe bool
 		}{
-			{false, SchedHeap, true}, {false, SchedCalendar, true}, {true, SchedCalendar, true},
-			{false, SchedHeap, false}, {false, SchedCalendar, false},
-			{true, SchedHeap, false}, {true, SchedCalendar, false},
+			{false, true}, {false, false}, {true, false},
 		} {
-			got := runSchedule(s, mode.asSteps, mode.kind, mode.observe)
-			name := fmt.Sprintf("seed %d steps=%v sched=%s observe=%v", seed, mode.asSteps, mode.kind, mode.observe)
+			got := runSchedule(s, mode.asSteps, mode.observe)
+			name := fmt.Sprintf("seed %d steps=%v observe=%v", seed, mode.asSteps, mode.observe)
 			if a, b := strings.Join(ref.log, "\n"), strings.Join(got.log, "\n"); a != b {
-				t.Fatalf("%s: operation order diverges from steps/heap/observed\nwant:\n%s\ngot:\n%s", name, a, b)
+				t.Fatalf("%s: operation order diverges from steps/observed\nwant:\n%s\ngot:\n%s", name, a, b)
 			}
 			if got.events != ref.events || got.now != ref.now || got.err != ref.err {
 				t.Fatalf("%s: events/now/err = %d/%d/%q, want %d/%d/%q", name,

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkStepProcVsGoroutine measures the per-event cost of the two
 // process kinds on the same workload: a single process advancing the clock
@@ -39,59 +36,4 @@ func BenchmarkStepProcVsGoroutine(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-}
-
-// schedShapes are the event-schedule shapes BenchmarkHeapVsCalendarQueue
-// compares the schedulers under:
-//
-//   - uniform: 64 steppers with staggered coprime-ish periods — events spread
-//     evenly over time, the calendar queue's favourable case.
-//   - bursty: 64 steppers all on the same period — every instant is one big
-//     same-timestamp cohort, which the nowq ring absorbs before either
-//     scheduler is touched.
-//   - membank: periods shaped like a contended bank queue — most wakes near
-//     now plus a long service tail, the fig7 Conflict pattern.
-var schedShapes = []struct {
-	name   string
-	period func(i int) Time
-}{
-	{"uniform", func(i int) Time { return Time(1 + i%7) }},
-	{"bursty", func(i int) Time { return 5 }},
-	{"membank", func(i int) Time {
-		if i%8 == 0 {
-			return 55 // in service at the bank
-		}
-		return Time(6 + i%3) // issuing / queued
-	}},
-}
-
-// BenchmarkHeapVsCalendarQueue compares the 4-ary heap and the calendar
-// queue on each schedule shape, with the same stepped processes so scheduler
-// cost dominates.
-func BenchmarkHeapVsCalendarQueue(b *testing.B) {
-	for _, kind := range []Scheduler{SchedHeap, SchedCalendar} {
-		for _, shape := range schedShapes {
-			b.Run(fmt.Sprintf("%s/%s", kind, shape.name), func(b *testing.B) {
-				b.ReportAllocs()
-				e := NewEngineSched(kind)
-				const procs = 64
-				per := b.N/procs + 1
-				for i := 0; i < procs; i++ {
-					d := shape.period(i)
-					j := 0
-					e.SpawnStep("p", func(sp *StepProc) Status {
-						if j == per {
-							return StepDone
-						}
-						j++
-						return sp.Sleep(d)
-					})
-				}
-				b.ResetTimer()
-				if err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
 }

@@ -183,12 +183,16 @@ func TestStepProcAccessors(t *testing.T) {
 	}
 }
 
-// countGoroutines samples the goroutine count after nudging the scheduler so
-// exiting goroutines get to finish.
-func countGoroutines() int {
-	runtime.GC()
-	time.Sleep(time.Millisecond)
-	return runtime.NumGoroutine()
+// waitGoroutines yields to exiting goroutines until the count is back to at
+// most want or the deadline passes, and returns the last count seen.
+func waitGoroutines(want int, deadline time.Time) int {
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestStopResetNoGoroutineLeak: every way a run can leave a process
@@ -198,7 +202,7 @@ func countGoroutines() int {
 // three that never started — spawned by the stopping event itself, so their
 // first resume never fires; odd rounds end in a deadlock.
 func TestStopResetNoGoroutineLeak(t *testing.T) {
-	base := countGoroutines()
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	for round := 0; round < 20; round++ {
 		s := e.NewSignal()
@@ -219,14 +223,10 @@ func TestStopResetNoGoroutineLeak(t *testing.T) {
 		}
 		e.Reset()
 	}
-	// Allow scheduling slack: the unwound goroutines exit asynchronously.
-	var got int
-	for try := 0; try < 50; try++ {
-		if got = countGoroutines(); got <= base {
-			return
-		}
+	// The unwound goroutines exit asynchronously.
+	if got := waitGoroutines(base, time.Now().Add(5*time.Second)); got > base {
+		t.Errorf("goroutines after 20 Stop/deadlock+Reset rounds = %d, want <= %d", got, base)
 	}
-	t.Errorf("goroutines after 20 Stop/deadlock+Reset rounds = %d, want <= %d", got, base)
 }
 
 // TestStopBeforeFirstStepThenReset kills a process that never got to run:
