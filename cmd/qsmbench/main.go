@@ -365,9 +365,8 @@ func computeEntry(fingerprint, key, id string, opt experiments.Options, metrics 
 		CreatedAt:   time.Now().UTC(),
 	}
 	if sink != nil {
-		var b strings.Builder
-		if err := sink.Merged().WriteMetricsJSON(&b); err == nil {
-			entry.Metrics = []byte(b.String())
+		if m, err := sink.Merged().AppendMetricsJSON(nil); err == nil {
+			entry.Metrics = m
 		}
 	}
 	return entry, nil

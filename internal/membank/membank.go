@@ -342,10 +342,18 @@ func (b *bench) stepAccessor(pick pickFn, pid int) sim.StepFn {
 	}
 }
 
-// run spawns one stepped processor per pid and finishes the simulation.
+// run spawns one stepped processor per pid and finishes the simulation. Only
+// Random picks (hot-fraction runs included) draw from a processor's rng, so
+// only they pay for seeding one: Conflict and NoConflict processors get none
+// and their results do not depend on seed.
 func (b *bench) run(pick pickFn, seed int64) Result {
 	for pid := 0; pid < b.cfg.Procs; pid++ {
-		b.e.SpawnStepSeeded(fmt.Sprintf("proc%d", pid), procSeed(seed, pid), b.stepAccessor(pick, pid))
+		name, step := fmt.Sprintf("proc%d", pid), b.stepAccessor(pick, pid)
+		if b.pat == Random {
+			b.e.SpawnStepSeeded(name, procSeed(seed, pid), step)
+		} else {
+			b.e.SpawnStep(name, step)
+		}
 	}
 	return b.finish()
 }

@@ -72,6 +72,22 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// TestFixedPatternsIgnoreSeed: Conflict and NoConflict never draw from a
+// processor's rng, so their processors are spawned without one and every
+// seed gives the same Result.
+func TestFixedPatternsIgnoreSeed(t *testing.T) {
+	for _, cfg := range AllConfigs() {
+		for _, pat := range []Pattern{Conflict, NoConflict} {
+			want := Run(cfg, pat, 60, 0)
+			for _, seed := range []int64{1, 7, -3, 1 << 40} {
+				if got := Run(cfg, pat, 60, seed); got != want {
+					t.Errorf("%s %s: seed %d gave %+v, seed 0 %+v", cfg.Name, pat, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBSPlibSlowerThanNative(t *testing.T) {
 	nat := Run(SMPNative(), Random, 300, 1)
 	l2 := Run(SMPBSPlib2(), Random, 300, 1)

@@ -9,10 +9,52 @@ import (
 	"testing"
 )
 
+// The metrics snapshot as encoding/json structs: the reference the hand
+// writer is checked against.
+
+type counterJSON struct {
+	Subsystem string `json:"subsystem"`
+	Name      string `json:"name"`
+	Labels    string `json:"labels,omitempty"`
+	Value     uint64 `json:"value"`
+}
+
+type gaugeJSON struct {
+	Subsystem string `json:"subsystem"`
+	Name      string `json:"name"`
+	Labels    string `json:"labels,omitempty"`
+	Value     int64  `json:"value"`
+	Max       int64  `json:"max"`
+}
+
+type bucketJSON struct {
+	LE    float64 `json:"le"`
+	Count uint64  `json:"count"`
+}
+
+type histJSON struct {
+	Subsystem string       `json:"subsystem"`
+	Name      string       `json:"name"`
+	Labels    string       `json:"labels,omitempty"`
+	Count     uint64       `json:"count"`
+	Sum       float64      `json:"sum"`
+	Min       float64      `json:"min"`
+	Max       float64      `json:"max"`
+	Buckets   []bucketJSON `json:"buckets"`
+	Overflow  uint64       `json:"overflow"`
+}
+
+type metricsJSON struct {
+	Counters   []counterJSON `json:"counters"`
+	Gauges     []gaugeJSON   `json:"gauges"`
+	Histograms []histJSON    `json:"histograms"`
+}
+
 // refMetricsJSON is the reference WriteMetricsJSON is checked against: the
 // snapshot as encoding/json structs, written by a json.Encoder indenting by
-// two spaces.
-func refMetricsJSON(r *Recorder) ([]byte, error) {
+// two spaces, and the same snapshot as json.Marshal writes it (the reference
+// for AppendMetricsJSON).
+func refMetricsJSON(r *Recorder) (indented, compact []byte, err error) {
 	out := metricsJSON{
 		Counters:   []counterJSON{},
 		Gauges:     []gaugeJSON{},
@@ -57,9 +99,12 @@ func refMetricsJSON(r *Recorder) ([]byte, error) {
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return buf.Bytes(), nil
+	if compact, err = json.Marshal(out); err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), compact, nil
 }
 
 // Strings and floats the generated registries draw from: everything
@@ -134,23 +179,26 @@ func genRegistry(rng *rand.Rand, bad bool) *Recorder {
 // TestMetricsJSONMatchesReference is the differential test of the metrics
 // writer: over generated registries (HTML-sensitive labels, U+2028/U+2029,
 // non-ASCII and invalid UTF-8; floats at the 1e-6 and 1e21 format cut-offs,
-// negative zero and subnormals) WriteMetricsJSON writes exactly what the
-// encoding/json reference writes, and where the reference fails on NaN or an
+// negative zero and subnormals) WriteMetricsJSON and AppendMetricsJSON write
+// exactly what the encoding/json reference writes, and where the reference fails on NaN or an
 // infinity the writer fails too and writes nothing.
 func TestMetricsJSONMatchesReference(t *testing.T) {
 	check := func(name string, r *Recorder, bad bool) {
 		t.Helper()
-		want, wantErr := refMetricsJSON(r)
+		want, wantCompact, wantErr := refMetricsJSON(r)
 		var got bytes.Buffer
 		err := r.WriteMetricsJSON(&got)
+		compact, compactErr := r.AppendMetricsJSON(nil)
 		switch {
-		case bad && (wantErr == nil || err == nil || got.Len() != 0):
-			t.Fatalf("%s: reference error %v; writer error %v after %d bytes; want both to fail, writing nothing",
-				name, wantErr, err, got.Len())
-		case !bad && (wantErr != nil || err != nil):
-			t.Fatalf("%s: reference error %v, writer error %v", name, wantErr, err)
+		case bad && (wantErr == nil || err == nil || compactErr == nil || got.Len() != 0):
+			t.Fatalf("%s: reference error %v; writer error %v after %d bytes, compact error %v; want all to fail, writing nothing",
+				name, wantErr, err, got.Len(), compactErr)
+		case !bad && (wantErr != nil || err != nil || compactErr != nil):
+			t.Fatalf("%s: reference error %v, writer error %v, compact error %v", name, wantErr, err, compactErr)
 		case !bytes.Equal(got.Bytes(), want):
 			t.Fatalf("%s: writer differs from encoding/json:\n got %q\nwant %q", name, got.Bytes(), want)
+		case !bytes.Equal(compact, wantCompact):
+			t.Fatalf("%s: compact writer differs from json.Marshal:\n got %q\nwant %q", name, compact, wantCompact)
 		}
 	}
 	var nilRec *Recorder

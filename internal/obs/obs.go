@@ -17,9 +17,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
+
+	"repro/internal/jsonbytes"
 )
 
 // Config selects which facilities a Recorder carries.
@@ -356,93 +358,112 @@ func (reg *Registry) merge(o *Registry) {
 	}
 }
 
-// JSON snapshot types; keys sort by (subsystem, name, labels) so encoded
-// output is deterministic.
-
-type counterJSON struct {
-	Subsystem string `json:"subsystem"`
-	Name      string `json:"name"`
-	Labels    string `json:"labels,omitempty"`
-	Value     uint64 `json:"value"`
-}
-
-type gaugeJSON struct {
-	Subsystem string `json:"subsystem"`
-	Name      string `json:"name"`
-	Labels    string `json:"labels,omitempty"`
-	Value     int64  `json:"value"`
-	Max       int64  `json:"max"`
-}
-
-type bucketJSON struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-type histJSON struct {
-	Subsystem string       `json:"subsystem"`
-	Name      string       `json:"name"`
-	Labels    string       `json:"labels,omitempty"`
-	Count     uint64       `json:"count"`
-	Sum       float64      `json:"sum"`
-	Min       float64      `json:"min"`
-	Max       float64      `json:"max"`
-	Buckets   []bucketJSON `json:"buckets"`
-	Overflow  uint64       `json:"overflow"`
-}
-
-type metricsJSON struct {
-	Counters   []counterJSON `json:"counters"`
-	Gauges     []gaugeJSON   `json:"gauges"`
-	Histograms []histJSON    `json:"histograms"`
-}
-
 // WriteMetricsJSON writes the registry snapshot as indented JSON with series
-// sorted by key. A recorder without metrics writes an empty snapshot.
+// sorted by key, newline-terminated. A recorder without metrics writes an
+// empty snapshot. On an error (a NaN or infinite histogram value, which JSON
+// cannot carry) nothing is written.
 func (r *Recorder) WriteMetricsJSON(w io.Writer) error {
-	out := metricsJSON{
-		Counters:   []counterJSON{},
-		Gauges:     []gaugeJSON{},
-		Histograms: []histJSON{},
+	compact, err := r.AppendMetricsJSON(nil)
+	if err != nil {
+		return err
 	}
+	_, err = w.Write(jsonbytes.Indent(compact))
+	return err
+}
+
+// AppendMetricsJSON appends the registry snapshot as compact JSON: counters,
+// gauges and histograms, each sorted by (subsystem, name, labels). It is the
+// bytes encoding/json writes for the snapshot, which WriteMetricsJSON
+// indents; a result store entry carries it as is.
+func (r *Recorder) AppendMetricsJSON(dst []byte) ([]byte, error) {
+	reg := &Registry{}
 	if r != nil && r.reg != nil {
-		reg := r.reg
-		for _, k := range sortedKeys(len(reg.counters), func(add func(Key)) {
-			for k := range reg.counters {
-				add(k)
-			}
-		}) {
-			out.Counters = append(out.Counters, counterJSON{k.Subsystem, k.Name, k.Labels, reg.counters[k].v})
+		reg = r.reg
+	}
+	dst = append(dst, `{"counters":[`...)
+	for i, k := range sortedKeys(len(reg.counters), func(add func(Key)) {
+		for k := range reg.counters {
+			add(k)
 		}
-		for _, k := range sortedKeys(len(reg.gauges), func(add func(Key)) {
-			for k := range reg.gauges {
-				add(k)
-			}
-		}) {
-			g := reg.gauges[k]
-			out.Gauges = append(out.Gauges, gaugeJSON{k.Subsystem, k.Name, k.Labels, g.v, g.max})
+	}) {
+		dst = appendSeriesKey(dst, i, k)
+		dst = append(dst, `,"value":`...)
+		dst = strconv.AppendUint(dst, reg.counters[k].v, 10)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"gauges":[`...)
+	for i, k := range sortedKeys(len(reg.gauges), func(add func(Key)) {
+		for k := range reg.gauges {
+			add(k)
 		}
-		for _, k := range sortedKeys(len(reg.hists), func(add func(Key)) {
-			for k := range reg.hists {
-				add(k)
-			}
-		}) {
-			h := reg.hists[k]
-			hj := histJSON{
-				Subsystem: k.Subsystem, Name: k.Name, Labels: k.Labels,
-				Count: h.n, Sum: h.sum, Min: h.min, Max: h.max,
-				Buckets:  make([]bucketJSON, len(h.bounds)),
-				Overflow: h.counts[len(h.bounds)],
-			}
-			for i, b := range h.bounds {
-				hj.Buckets[i] = bucketJSON{LE: b, Count: h.counts[i]}
-			}
-			out.Histograms = append(out.Histograms, hj)
+	}) {
+		g := reg.gauges[k]
+		dst = appendSeriesKey(dst, i, k)
+		dst = append(dst, `,"value":`...)
+		dst = strconv.AppendInt(dst, g.v, 10)
+		dst = append(dst, `,"max":`...)
+		dst = strconv.AppendInt(dst, g.max, 10)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"histograms":[`...)
+	for i, k := range sortedKeys(len(reg.hists), func(add func(Key)) {
+		for k := range reg.hists {
+			add(k)
+		}
+	}) {
+		var err error
+		if dst, err = appendHistogram(appendSeriesKey(dst, i, k), reg.hists[k]); err != nil {
+			return nil, err
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return append(dst, "]}"...), nil
+}
+
+// appendSeriesKey opens the i-th object of a series array with its key
+// fields; labels are omitted when empty.
+func appendSeriesKey(dst []byte, i int, k Key) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"subsystem":`...)
+	dst = jsonbytes.AppendString(dst, k.Subsystem)
+	dst = append(dst, `,"name":`...)
+	dst = jsonbytes.AppendString(dst, k.Name)
+	if k.Labels != "" {
+		dst = append(dst, `,"labels":`...)
+		dst = jsonbytes.AppendString(dst, k.Labels)
+	}
+	return dst
+}
+
+// appendHistogram writes the rest of a histogram series after its key.
+func appendHistogram(dst []byte, h *Histogram) ([]byte, error) {
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendUint(dst, h.n, 10)
+	var err error
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{`,"sum":`, h.sum}, {`,"min":`, h.min}, {`,"max":`, h.max}} {
+		if dst, err = jsonbytes.AppendFloat(append(dst, f.name...), f.v); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, `,"buckets":[`...)
+	for i, le := range h.bounds {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = jsonbytes.AppendFloat(append(dst, `{"le":`...), le); err != nil {
+			return nil, err
+		}
+		dst = append(dst, `,"count":`...)
+		dst = strconv.AppendUint(dst, h.counts[i], 10)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"overflow":`...)
+	dst = strconv.AppendUint(dst, h.counts[len(h.bounds)], 10)
+	return append(dst, '}'), nil
 }
 
 func sortedKeys(n int, visit func(add func(Key))) []Key {

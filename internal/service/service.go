@@ -23,7 +23,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -448,6 +447,10 @@ func (s *Scheduler) notify(j *job) {
 	j.publishState(st)
 	if st.State == StateDone || st.State == StateFailed {
 		s.releaseQuota(j)
+		// Nothing runs under a terminal job's context any more; cancelling
+		// it detaches it from the root context, whose children would
+		// otherwise grow by one per job.
+		j.cancel()
 	}
 }
 
@@ -869,9 +872,9 @@ func (s *Scheduler) compute(j *job, ctx context.Context) (e *store.Entry, err er
 		// unlike the process-global sim.TotalEvents counter.
 		bench.SimEvents = merged.FindCounter("sim", "events", "").Value()
 		if s.cfg.CollectMetrics {
-			var buf bytes.Buffer
-			if err := merged.WriteMetricsJSON(&buf); err == nil {
-				entry.Metrics = buf.Bytes()
+			// Compact: the store splices it into the entry's encoding as is.
+			if m, err := merged.AppendMetricsJSON(nil); err == nil {
+				entry.Metrics = m
 			}
 		}
 		if s.cfg.CollectTrace {

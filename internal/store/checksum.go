@@ -5,19 +5,44 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+
+	"repro/internal/jsonbytes"
 )
 
-// marshalEntry is the one json.Marshal an entry gets: it returns the entry's
-// compact JSON encoding with the Checksum field empty, and that encoding's
-// hex SHA-256 — the entry's checksum. Struct field order fixes the JSON
-// field order, so the encoding is canonical and the checksum is stable
-// across marshal/unmarshal round trips. It fails only on a Metrics value
-// that is not valid JSON.
+// checksumOpen starts the field encodeEntry puts in front of the closing
+// brace: checksumOpen, the 64 hex digits of the checksum, a closing quote.
+const checksumOpen = `,"checksum":"`
+
+// marshalEntry returns the entry's compact JSON encoding with the Checksum
+// field empty, and that encoding's hex SHA-256 — the entry's checksum. Struct
+// field order fixes the JSON field order, so the encoding is canonical and
+// the checksum is stable across marshal/unmarshal round trips.
+//
+// json.Marshal writes only the small fixed fields; Metrics, the bulk of a
+// large entry, is spliced in by jsonbytes.AppendCompact, which writes what
+// Marshal would write for it (compact or indented on input alike) without
+// Marshal's validating scanner. Metrics must therefore be valid JSON: the
+// registry's own snapshot, or a value decoded by encoding/json from a disk
+// file or a peer. The returned slice has room for encodeEntry's checksum
+// field. It fails only on a fixed field Marshal rejects.
 func marshalEntry(e *Entry) (compact []byte, sum string, err error) {
 	c := *e
 	c.Checksum = ""
-	if compact, err = json.Marshal(&c); err != nil {
+	c.Metrics = nil
+	head, err := json.Marshal(&c)
+	if err != nil {
 		return nil, "", err
+	}
+	compact = head
+	if len(e.Metrics) > 0 {
+		// Metrics is the field before created_at, which is never omitted and
+		// with Checksum empty is the last field Marshal writes.
+		i := bytes.LastIndex(head, []byte(`,"created_at":`))
+		compact = make([]byte, 0, len(head)+len(`,"metrics":`)+len(e.Metrics)+len(checksumOpen)+2*sha256.Size+1)
+		compact = append(compact, head[:i]...)
+		compact = append(compact, `,"metrics":`...)
+		compact = jsonbytes.AppendCompact(compact, e.Metrics)
+		compact = append(compact, head[i:]...)
 	}
 	h := sha256.Sum256(compact)
 	return compact, hex.EncodeToString(h[:]), nil
@@ -39,17 +64,11 @@ func encodeEntry(e *Entry, legacy bool) (wire []byte, sum string, err error) {
 	if !legacy {
 		// Checksum is the struct's last field and created_at, before it,
 		// is never omitted: the field goes in front of the closing brace.
-		compact = append(compact[:len(compact)-1], `,"checksum":"`+sum+`"}`...)
+		compact = append(compact[:len(compact)-1], checksumOpen...)
+		compact = append(compact, sum...)
+		compact = append(compact, `"}`...)
 	}
-	var buf bytes.Buffer
-	buf.Grow(5 * len(compact) / 2) // a fig7 entry indents to 2.24× its compact form
-	if err := json.Indent(&buf, compact, "", "  "); err != nil {
-		return nil, "", err
-	}
-	buf.WriteByte('\n')
-	wire = make([]byte, buf.Len())
-	copy(wire, buf.Bytes())
-	return wire, sum, nil
+	return jsonbytes.Indent(compact), sum, nil
 }
 
 // ChecksumOK verifies the entry against its stored checksum. Entries

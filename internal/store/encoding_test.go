@@ -43,7 +43,8 @@ func refEncode(t testing.TB, e *Entry) (wire []byte, sum string) {
 }
 
 // realEntry runs exp (quick, one run, metrics collected) and builds the entry
-// the service would store for it: ~5 KB for fig1, ~390 KB for fig7.
+// the service would store for it, compact metrics included: ~5 KB for fig1,
+// ~390 KB for fig7 once encoded.
 func realEntry(t testing.TB, exp string) *Entry {
 	t.Helper()
 	ok := experiments.OptionsKey{Seed: 3, Runs: 1, Quick: true}
@@ -55,8 +56,8 @@ func realEntry(t testing.TB, exp string) *Entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var metrics bytes.Buffer
-	if err := sink.Merged().WriteMetricsJSON(&metrics); err != nil {
+	metrics, err := sink.Merged().AppendMetricsJSON(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bench := report.BenchRecord{ID: exp, Title: res.Title, Seed: ok.Seed, Runs: ok.Runs, Quick: ok.Quick, Parallelism: 1, WallSeconds: 0.5}
@@ -69,7 +70,7 @@ func realEntry(t testing.TB, exp string) *Entry {
 		Fingerprint: "test",
 		Tables:      res.String(),
 		Bench:       &bench,
-		Metrics:     metrics.Bytes(),
+		Metrics:     metrics,
 		CreatedAt:   time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC),
 	}
 }
@@ -373,12 +374,14 @@ func TestCachedReadAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// TestPutMarshalsOnce bounds what Put of the large entry allocates. One
-// marshal costs the compact encoding (0.45 of the wire form: indenting the
-// metrics more than doubles them), the indent buffer (1.1) and the resident
-// copy (1.0), plus the temp file's bookkeeping: measured 2.5–2.7 encodings. A
-// second json.Marshal of the entry anywhere in Put adds its compact form and
-// crosses the ceiling; MarshalIndent's own buffers would add more.
+// TestPutMarshalsOnce bounds what Put of the large entry allocates. json.Marshal
+// writes only the small fixed fields; the compact metrics are copied once
+// into the compact entry (0.40 of the wire form, sized up front with room
+// for the checksum) and the indenter writes straight into the exact-size
+// resident slice (1.0). With the temp file's bookkeeping that measures 1.42
+// encodings. The 2.85 ceiling dates from the encoding/json path (compact form
+// 0.45, indent buffer 1.1, resident copy 1.0: measured 2.5–2.7), so the path
+// now runs with more than one encoding of headroom under it.
 func TestPutMarshalsOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
@@ -403,7 +406,7 @@ func TestPutMarshalsOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPut := float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	if ratio := perPut / float64(len(wire)); ratio > 2.85 {
-		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want about 2.6", len(wire), perPut, ratio)
+		t.Errorf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings), want about 1.4", len(wire), perPut, ratio)
 	} else {
 		t.Logf("Put of a %d-byte entry allocates %.0f bytes (%.2f encodings)", len(wire), perPut, ratio)
 	}

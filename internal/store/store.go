@@ -12,7 +12,11 @@
 // LRU holds those bytes, and GetBytes hands them to the HTTP layer to write
 // as they are — a cached read neither decodes nor encodes. The store keeps no
 // *Entry: Get and GetOrCompute decode a fresh one per call for the callers
-// that want fields (qsmbench -cache, tests).
+// that want fields (qsmbench -cache, tests). Put writes that encoding with
+// encoding/json for the small fixed fields only; the metrics blob is copied
+// and indented by byte loops that do not validate it, so an Entry's Metrics
+// must be valid JSON (the registry's own snapshot, or a value encoding/json
+// decoded).
 //
 // Because the simulator is deterministic in its keyed options, a cache hit
 // is byte-identical to a recomputation — the cache changes latency, never
@@ -60,7 +64,8 @@ type Entry struct {
 	// events); on a cache hit it describes the original computation.
 	Bench *report.BenchRecord `json:"bench,omitempty"`
 	// Metrics holds the producing run's aggregated METRICS JSON when the
-	// run collected metrics; nil otherwise.
+	// run collected metrics; nil otherwise. It must be valid JSON, compact
+	// (as the service stores it) or not: Put does not validate it.
 	Metrics   json.RawMessage `json:"metrics,omitempty"`
 	CreatedAt time.Time       `json:"created_at"`
 	// Checksum is the hex SHA-256 of the entry's canonical JSON encoding
