@@ -1,8 +1,9 @@
-// Package jsonbytes writes and reformats JSON as byte loops over valid input,
-// producing byte for byte what encoding/json produces, without its reflection
-// or its scanner. The metrics snapshot (internal/obs) and the result store's
-// wire encoding (internal/store) are written with it; the differential and
-// fuzz tests beside each use hold it to encoding/json.
+// Package jsonbytes writes JSON strings and numbers and reformats JSON
+// documents with plain byte loops, producing byte for byte what encoding/json
+// produces, without its reflection or its scanner. The metrics snapshot
+// (internal/obs) and the result store's wire encoding (internal/store) are
+// written with it; FuzzCompactIndent here and the differential tests in obs
+// and store hold it to encoding/json.
 //
 // Nothing here validates: AppendCompact and Indent take JSON that is already
 // valid (Indent: compact too), which is what their callers hold by
