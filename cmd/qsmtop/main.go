@@ -104,7 +104,6 @@ func render(w io.Writer, client *http.Client, base string, metricsN int) error {
 		st.Scheduler.Submitted, st.Scheduler.CacheHits, st.Scheduler.CacheMisses,
 		st.Scheduler.Retried, st.Scheduler.Rejected, st.Scheduler.Failed, st.Scheduler.Inflight,
 		st.Scheduler.Coalesced, st.Scheduler.CoalescedBatches)
-	renderSched(w, st.Sched)
 	fmt.Fprintf(w, "store   mem %d (%.1f MB)   read-errors %d   checksum-fail %d   quarantined %d   degraded reads/writes %d/%d\n",
 		st.Store.MemEntries, float64(st.Store.MemBytes)/1e6, st.Store.ReadErrors, st.Store.ChecksumFailures,
 		st.Store.EntriesQuarantined, st.Store.ReadsDegraded, st.Store.WritesDegraded)
@@ -137,22 +136,6 @@ func render(w io.Writer, client *http.Client, base string, metricsN int) error {
 		}
 	}
 	return nil
-}
-
-// renderSched writes the work-stealing pane: process-wide steal totals since
-// start plus, for every pool currently inside a sweep, its per-worker deque
-// depths — the live picture of how evenly the sweep's work is spread.
-func renderSched(w io.Writer, ss service.SchedStatus) {
-	fmt.Fprintf(w, "steal   steals %d   overflows %d   parks %d   live pools %d\n",
-		ss.Steals, ss.Overflows, ss.Parks, len(ss.Pools))
-	for _, p := range ss.Pools {
-		depths := make([]string, len(p.Depths))
-		for i, d := range p.Depths {
-			depths[i] = fmt.Sprintf("%d", d)
-		}
-		fmt.Fprintf(w, "  pool %-12s workers %d   jobs %d/%d claimed   steals %d   depths [%s]\n",
-			p.Name, p.Workers, p.Claimed, p.Jobs, p.Steals, strings.Join(depths, " "))
-	}
 }
 
 // renderStreams writes the push-API line: live subscribers and the fan-out

@@ -121,9 +121,9 @@ func emptySyncCost(net machine.NetParams, p int, seed int64) sim.Time {
 }
 
 // Calibrate measures the observed network constants of a configuration,
-// fanning the nine independent calibration simulations across par stealing
-// workers. par handling matches Options.Parallelism defaulting: par <= 0
-// means one worker per GOMAXPROCS. The probes are wildly uneven — the four
+// fanning the nine independent calibration simulations across par workers.
+// par handling matches Options.Parallelism defaulting: par <= 0 means one
+// worker per GOMAXPROCS. The probes are wildly uneven — the four
 // 16-node wordComm probes dominate the two-node bulk transfers — so each
 // carries a cost hint and the scheduler starts the heavy ones first. The
 // per-byte gaps are slopes between two transfer sizes, cancelling fixed
@@ -149,7 +149,7 @@ func Calibrate(net machine.NetParams, seed int64, par int) MachineCalib {
 		{5, func() sim.Time { return emptySyncCost(net, 16, seed) }},
 	}
 	c := parMapCost(par, len(probes),
-		func(i int) float64 { return probes[i].cost }, "calibrate",
+		func(i int) float64 { return probes[i].cost },
 		func(i int) sim.Time { return probes[i].fn() })
 	slope := func(c1, c2 sim.Time, b1, b2 int) float64 {
 		return float64(c2-c1) / float64(8*(b2-b1))

@@ -12,12 +12,12 @@ import (
 // This file is the parallel experiment runner. Every driver expresses its
 // sweep as independent (sweep-point, run) simulation jobs and submits them
 // through parMap or sweepRuns; the jobs fan across Options.Parallelism
-// workers on the work-stealing scheduler (internal/sched), each job
-// building its own sim.Engine/qsmlib.Machine, and the results land in an
-// index-addressed slice. Because aggregation then walks that slice in
-// submission order, every averaging and table-building step sees results in
-// exactly the order the serial loop produced them — the rendered tables are
-// byte-identical at any parallelism level and under any steal interleaving.
+// workers of the pool in internal/sched, each job building its own
+// sim.Engine/qsmlib.Machine, and the results land in an index-addressed
+// slice. Because aggregation then walks that slice in submission order,
+// every averaging and table-building step sees results in exactly the order
+// the serial loop produced them — the rendered tables are byte-identical at
+// any parallelism level and under any claim interleaving.
 
 // workerPanic carries a worker's panic value together with the goroutine
 // stack captured at recover time, so a simulation failing under -parallel
@@ -45,23 +45,23 @@ func cancelCause(r any) (error, bool) {
 	return nil, false
 }
 
-// parMap runs fn for every index in [0, n) across a pool of par stealing
-// workers and returns the results in index order. fn must be safe to call
-// concurrently and deterministic in its argument; simulator state must be
-// local to the call. A panic in any job is captured — together with the
-// worker's stack — and re-raised in the caller after all workers drain, so
-// a failing simulation reports the same way it does serially.
+// parMap runs fn for every index in [0, n) across a pool of par workers and
+// returns the results in index order. fn must be safe to call concurrently
+// and deterministic in its argument; simulator state must be local to the
+// call. A panic in any job is captured — together with the worker's stack —
+// stops the pool from claiming more jobs, and is re-raised in the caller
+// once the running jobs return, so a failing simulation reports the same
+// way it does serially.
 func parMap[T any](par, n int, fn func(i int) T) []T {
-	return parMapCost(par, n, nil, "", fn)
+	return parMapCost(par, n, nil, fn)
 }
 
-// parMapCost is parMap with a cost hint: when non-nil, cost seeds the
-// per-worker deques in descending estimated job cost so the biggest jobs
-// start first (LPT list scheduling) instead of being discovered at the tail
-// of a monotone sweep. name labels the pool in live introspection.
-func parMapCost[T any](par, n int, cost func(i int) float64, name string, fn func(i int) T) []T {
+// parMapCost is parMap with a cost hint: when non-nil, workers claim jobs in
+// descending estimated cost so the biggest jobs start first (LPT list
+// scheduling) instead of being discovered at the tail of a monotone sweep.
+func parMapCost[T any](par, n int, cost func(i int) float64, fn func(i int) T) []T {
 	out := make([]T, n)
-	sched.Map(par, n, func(i int) { out[i] = fn(i) }, sched.Options{Cost: cost, Name: name})
+	sched.Map(par, n, func(i int) { out[i] = fn(i) }, sched.Options{Cost: cost})
 	return out
 }
 
@@ -103,15 +103,15 @@ func (pt *progressTracker) jobDone(point int) {
 
 // sweepCost is the default cost hint for sweep fan-outs: sweeps enumerate
 // their points in ascending problem size, so a job's flat index is a
-// monotone proxy for its cost. Seeding by it starts the most expensive
-// (large-n) jobs first, which is exactly the skew that strands a fixed pool.
+// monotone proxy for its cost. Claiming by it starts the most expensive
+// (large-n) jobs first instead of leaving them to the tail of the sweep.
 func sweepCost(i int) float64 { return float64(i) }
 
-// sweepRuns fans the full (point, run) grid of a sweep across the stealing
-// pool and returns result[point][run]. This is the widest fan-out: with
-// points*runs jobs in one pool, a slow point cannot leave workers idle the
-// way per-point parallelism would, and stealing rebalances whatever skew
-// the cost hint mispredicts.
+// sweepRuns fans the full (point, run) grid of a sweep across the pool and
+// returns result[point][run]. This is the widest fan-out: with points*runs
+// jobs in one pool, a slow point cannot leave workers idle the way
+// per-point parallelism would, and a worker that finishes early claims the
+// next job whatever the cost hint mispredicted.
 //
 // Each job receives its own obs.Recorder (nil when Options.Obs is nil),
 // reserved from the sink in flat (point, run) order before the fan-out so
@@ -119,7 +119,7 @@ func sweepCost(i int) float64 { return float64(i) }
 func sweepRuns[T any](opt Options, points, runs int, fn func(point, run int, rec *obs.Recorder) T) [][]T {
 	base := opt.Obs.Reserve(points * runs)
 	pt := newProgressTracker(opt, points, runs)
-	flat := parMapCost(opt.parallelism(), points*runs, sweepCost, "sweep", func(i int) T {
+	flat := parMapCost(opt.parallelism(), points*runs, sweepCost, func(i int) T {
 		if err := opt.ctxErr(); err != nil {
 			panic(&sweepCancelled{err})
 		}
@@ -141,7 +141,7 @@ func sweepRuns[T any](opt Options, points, runs int, fn func(point, run int, rec
 func sweepPoints[T any](opt Options, points int, fn func(point int, rec *obs.Recorder) T) []T {
 	base := opt.Obs.Reserve(points)
 	pt := newProgressTracker(opt, points, 1)
-	return parMapCost(opt.parallelism(), points, sweepCost, "sweep", func(i int) T {
+	return parMapCost(opt.parallelism(), points, sweepCost, func(i int) T {
 		if err := opt.ctxErr(); err != nil {
 			panic(&sweepCancelled{err})
 		}

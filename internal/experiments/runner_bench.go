@@ -1,30 +1,31 @@
 package experiments
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
 func init() {
-	register("runner", "Runner: work-stealing vs fixed-pool scheduling on skewed sweeps", runnerBench)
+	register("runner", "Runner: submission order vs LPT scheduling on skewed sweeps", runnerBench)
 }
 
 // runnerShapes are the job-cost distributions BENCH_runner.json tracks: the
-// shapes that separate a work-stealing scheduler from a fixed pool. Costs
+// shapes that separate LPT claiming from claiming in submission order. Costs
 // are in ticker iterations; jobs are listed in submission order, which for
 // a monotone sweep is ascending problem size — exactly the order that
-// parks a fixed pool's workers behind the late giants.
+// leaves a submission-order pool's workers idle behind the late giants.
 type runnerShape struct {
 	name  string
 	costs func(c int) []int
 }
 
 var runnerShapes = []runnerShape{
-	// Every job identical: the null case. Stealing must not lose here.
+	// Every job identical: the null case. LPT must not lose here.
 	{"uniform", func(c int) []int {
 		costs := make([]int, 64)
 		for i := range costs {
@@ -32,8 +33,8 @@ var runnerShapes = []runnerShape{
 		}
 		return costs
 	}},
-	// 48 small jobs then one 16× giant last — the classic tail: a fixed
-	// pool discovers the giant only after burning the small jobs.
+	// 48 small jobs then one 16× giant last — the classic tail: submission
+	// order discovers the giant only after burning the small jobs.
 	{"one-giant", func(c int) []int {
 		costs := make([]int, 49)
 		for i := 0; i < 48; i++ {
@@ -58,12 +59,12 @@ var runnerShapes = []runnerShape{
 }
 
 // modelMakespan is greedy list scheduling: jobs are handed out in the given
-// order, each to the earliest-free worker. This is exactly the fixed pool's
-// schedule (workers claim the next submission-order index when free); fed
-// the cost-descending order instead, it is LPT — the schedule the stealing
-// pool converges to under cost-hinted seeding, since an idle worker always
-// finds the pending work. The returned makespan is in cost units, a
-// machine-independent pure function of the workload.
+// order, each to the earliest-free worker. Fed submission order, it is the
+// schedule of a pool without a cost hint; fed the cost-descending order, it
+// is LPT — exactly the schedule sched.Map runs under a cost hint, whose
+// workers claim the next index of that order as they come free. The
+// returned makespan is in cost units, a machine-independent pure function
+// of the workload.
 func modelMakespan(costs []int, p int) float64 {
 	free := make([]float64, p)
 	for _, c := range costs {
@@ -84,17 +85,6 @@ func modelMakespan(costs []int, p int) float64 {
 	return m
 }
 
-// descending returns costs sorted descending without mutating the input.
-func descending(costs []int) []int {
-	out := append([]int(nil), costs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] > out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // runnerJob burns exactly iters ticker events on a private engine — the
 // same unit of work at every parallelism, so wall time per job is
 // proportional to its cost.
@@ -113,23 +103,23 @@ func runnerJob(iters int) uint64 {
 }
 
 // runnerBench is the "runner" pseudo-experiment: the scheduler's own
-// benchmark (ROADMAP item 2). Its table pins the deterministic side — per-
-// shape sim events plus the schedule-model makespans of the fixed pool vs
-// LPT/stealing at 4 and 8 workers, pure functions of the cost vectors — so
-// the speedup the deques buy on skewed shapes is committed and gated
-// (scripts/perfcheck.py fails if any model_speedup_* drifts or drops below
-// the floor). The stealing pool then runs each job set once at par=4 — it
-// produces the record's sim events — and its wall clock and steal count
-// land in the BENCH extra map under measured_*: observations of the machine
-// the bench ran on, not gated.
+// benchmark. Its table pins the deterministic side — per-shape sim events
+// plus the schedule-model makespans of submission order vs LPT at 4 and 8
+// workers, pure functions of the cost vectors — so the speedup the cost
+// hint buys on skewed shapes is committed and gated (scripts/perfcheck.py
+// fails if any model_speedup_* drifts or drops below the floor). The pool
+// then runs each job set once at par=4 in LPT order — it produces the
+// record's sim events — and its wall clock lands in the BENCH extra map
+// under measured_ms_*: an observation of the machine the bench ran on, not
+// gated.
 func runnerBench(opt Options) (*Result, error) {
 	c := 60000
 	if opt.Quick {
 		c = 4000
 	}
-	t := report.NewTable("Runner: fixed pool vs work stealing (schedule-model makespans, cost units)",
+	t := report.NewTable("Runner: submission order vs LPT (schedule-model makespans, cost units)",
 		"shape", "jobs", "total cost", "sim events",
-		"fixed@4", "steal@4", "speedup@4", "speedup@8")
+		"fixed@4", "lpt@4", "speedup@4", "speedup@8")
 	extra := map[string]float64{}
 	for _, sh := range runnerShapes {
 		costs := sh.costs(c)
@@ -137,7 +127,8 @@ func runnerBench(opt Options) (*Result, error) {
 		for _, x := range costs {
 			total += x
 		}
-		desc := descending(costs)
+		desc := slices.Clone(costs)
+		slices.SortFunc(desc, func(a, b int) int { return cmp.Compare(b, a) })
 
 		// Deterministic side: the schedule model.
 		f4 := modelMakespan(costs, 4)
@@ -154,22 +145,19 @@ func runnerBench(opt Options) (*Result, error) {
 		extra[prefix+"p4_"+sh.name] = f4 / s4
 		extra[prefix+"p8_"+sh.name] = f8 / s8
 
-		// Measured side: run the job set through the stealing pool at par=4.
-		// Wall clock and steals are nondeterministic, so they stay out of
-		// the table; they land in BENCH extra for the perf trajectory.
-		before := sched.Totals()
+		// Measured side: run the job set through the pool at par=4 in LPT
+		// order. Wall clock is nondeterministic, so it stays out of the
+		// table; it lands in BENCH extra for the perf trajectory.
 		t0 := time.Now()
-		stealEv := parMapCost(4, len(costs), func(i int) float64 { return float64(costs[i]) },
-			"bench:"+sh.name, func(i int) uint64 { return runnerJob(costs[i]) })
-		stealWall := time.Since(t0)
-		after := sched.Totals()
+		evs := parMapCost(4, len(costs), func(i int) float64 { return float64(costs[i]) },
+			func(i int) uint64 { return runnerJob(costs[i]) })
+		wall := time.Since(t0)
 
 		var events uint64
-		for _, ev := range stealEv {
+		for _, ev := range evs {
 			events += ev
 		}
-		extra["measured_steal_ms_"+sh.name] = float64(stealWall.Milliseconds())
-		extra["measured_steals_"+sh.name] = float64(after.Steals - before.Steals)
+		extra["measured_ms_"+sh.name] = float64(wall.Milliseconds())
 
 		t.AddRow(sh.name,
 			report.I(float64(len(costs))), report.I(float64(total)), report.I(float64(events)),
@@ -177,6 +165,6 @@ func runnerBench(opt Options) (*Result, error) {
 			report.F(f4/s4), report.F(f8/s8))
 	}
 	extra["measured_gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
-	t.AddNote("makespans are greedy list schedules of the cost vectors (submission order = fixed pool; descending = LPT, the stealing pool's seeded order) — machine-independent; the stealing pool's measured wall clock and steal count are in BENCH_runner.json extra.*")
+	t.AddNote("makespans are greedy list schedules of the cost vectors (fixed = submission order; lpt = descending cost, the order the pool claims jobs in under a cost hint) — machine-independent; the pool's measured wall clock is in BENCH_runner.json extra.measured_ms_*")
 	return &Result{ID: "runner", Title: Title("runner"), Tables: []*report.Table{t}, Extra: extra}, nil
 }

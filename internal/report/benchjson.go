@@ -28,10 +28,9 @@ type BenchRecord struct {
 	Allocs       uint64  `json:"allocs"`
 
 	// Extra carries driver-specific named values (the runner driver's
-	// schedule-model makespans and the stealing pool's measured wall times
-	// and steal counts). Keys prefixed
-	// "model_" are deterministic functions of the workload and are gated
-	// exactly by scripts/perfcheck.py; "measured_" keys are wall-clock
+	// schedule-model makespans and the pool's measured wall times). Keys
+	// prefixed "model_" are deterministic functions of the workload and are
+	// gated exactly by scripts/perfcheck.py; "measured_" keys are wall-clock
 	// observations recorded for the trajectory but not gated.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }

@@ -1,41 +1,33 @@
-// Package sched is the work-stealing scheduler under the experiment runner
-// (and, by extension, every sweep the service executes). It replaces the
-// fixed worker pool's shared claim counter with one Chase–Lev deque per
-// worker: the owner pushes and pops jobs LIFO at the bottom of its deque,
-// while idle workers steal FIFO from the top of a victim's deque, so skewed
-// job costs (the large-n points that dominate the paper's Figure 4–7
-// sweeps) no longer strand workers behind a shared dispatch order.
+// Package sched is the worker pool under the experiment runner (and, by
+// extension, every sweep the service executes). A sweep is a set of
+// independent simulations; Map orders them by descending estimated cost and
+// par workers claim them in that order from one shared atomic counter. That
+// is greedy list scheduling in longest-processing-time-first (LPT) order:
+// each worker that comes free takes the costliest job not yet started, so
+// the large-n points that dominate the paper's Figure 4–7 sweeps start first
+// instead of being discovered at the tail of a submission-ordered queue.
 //
 // Determinism is preserved by construction: a job is an index into a
 // preallocated result slice, every index is claimed by exactly one worker,
 // and callers aggregate results in index order afterwards — the schedule
 // decides only *when* a job runs, never where its result lands. Tables and
-// metrics are therefore byte-identical at any parallelism and under any
-// steal interleaving.
-//
-// Cost-hinted seeding: when Options.Cost is set, jobs are dealt across the
-// worker deques in descending estimated cost (and each deque is stacked so
-// its owner pops its most expensive job first). This is longest-processing-
-// time-first list scheduling — the biggest jobs start immediately instead
-// of being discovered at the tail of a submission-ordered queue, which is
-// where monotone sweeps put them.
+// metrics are therefore byte-identical at any parallelism.
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Panic carries a worker's panic value together with the goroutine stack
-// captured at recover time — if a stolen job dies, the report names the
-// thief's stack, not just the panic message. Map re-raises the first one
-// after the pool drains; it implements error so an unrecovered re-raise
-// prints the original value followed by the worker's stack.
+// captured at recover time, so the report names the stack of the job that
+// died, not just the panic message. Map re-raises the first one after the
+// pool stops; it implements error so an unrecovered re-raise prints the
+// original value followed by the worker's stack.
 type Panic struct {
 	Val   any
 	Stack []byte
@@ -45,252 +37,51 @@ func (p *Panic) Error() string {
 	return fmt.Sprintf("%v\n\nworker stack:\n%s", p.Val, p.Stack)
 }
 
-// Stats counts one Map call's scheduler activity. The same three counters
-// accumulate process-wide in Totals for the serving stack's metrics.
+// Stats is what Totals reports.
+//
+// Deprecated: always zero. The pool claims jobs from one shared counter, so
+// there is nothing to steal; the type stays for callers that read Totals.
 type Stats struct {
-	// Steals is the number of jobs executed by a worker other than the one
-	// they were seeded on.
+	// Steals is always zero.
 	Steals uint64
-	// Overflows counts deque ring growths (a worker's queue outgrew its
-	// buffer; the ring doubles and the old buffer is abandoned to the GC).
-	Overflows uint64
-	// Parks counts idle backoff sleeps taken by workers that found neither
-	// local work nor anything to steal while jobs were still in flight.
-	Parks uint64
 }
+
+// Totals returns the process-wide scheduler counters.
+//
+// Deprecated: always zero; see Stats.
+func Totals() Stats { return Stats{} }
 
 // Options tune one Map call.
 type Options struct {
 	// Cost estimates a job's relative execution cost. When non-nil, jobs are
-	// seeded across the worker deques in descending estimated cost so the
-	// most expensive jobs start first. Nil seeds in index order. Cost only
-	// shapes the schedule; results are index-addressed either way.
+	// claimed in descending estimated cost so the most expensive jobs start
+	// first. Nil claims in index order. Cost only shapes the schedule;
+	// results are index-addressed either way.
 	Cost func(i int) float64
-	// Name labels the pool in the live-pool registry (LivePools) while the
-	// call runs; /statusz and qsmtop show it. Empty hides nothing — the pool
-	// is still registered under "".
-	Name string
 }
 
-// minRingSize is the smallest deque ring; it must be a power of two.
-const minRingSize = 8
-
-// ring is one deque buffer generation. Slots are read by thieves while the
-// owner writes neighbouring slots, so element access is atomic; the buffer
-// itself is immutable once published (growth copies into a fresh ring).
-type ring struct {
-	mask int64
-	slot []int64
-}
-
-func newRing(size int64) *ring {
-	return &ring{mask: size - 1, slot: make([]int64, size)}
-}
-
-func (r *ring) load(i int64) int64     { return atomic.LoadInt64(&r.slot[i&r.mask]) }
-func (r *ring) store(i int64, v int64) { atomic.StoreInt64(&r.slot[i&r.mask], v) }
-
-// Deque is a Chase–Lev work-stealing deque of job indices. The owner calls
-// Push and Pop (LIFO, bottom end); any number of concurrent thieves call
-// Steal (FIFO, top end). Go's sequentially consistent atomics stand in for
-// the acquire/release fences of the original formulation.
-type Deque struct {
-	top       atomic.Int64
-	_         [56]byte // keep top and bottom on separate cache lines
-	bottom    atomic.Int64
-	_         [56]byte
-	buf       atomic.Pointer[ring]
-	overflows atomic.Uint64
-}
-
-// NewDeque sizes the initial ring to hold capacity jobs without growing.
-func NewDeque(capacity int) *Deque {
-	size := int64(minRingSize)
-	for size < int64(capacity) {
-		size *= 2
-	}
-	d := &Deque{}
-	d.buf.Store(newRing(size))
-	return d
-}
-
-// Push appends a job at the bottom (owner only).
-func (d *Deque) Push(v int) {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	r := d.buf.Load()
-	if b-t >= int64(len(r.slot)) {
-		// Grow: copy the live window into a doubled ring. The old ring stays
-		// valid for thieves holding it — growth never mutates old slots, and
-		// every index they can claim was copied, so a stale read is still the
-		// right value for the top it CASes.
-		nr := newRing(int64(len(r.slot)) * 2)
-		for i := t; i < b; i++ {
-			nr.store(i, r.load(i))
-		}
-		d.buf.Store(nr)
-		d.overflows.Add(1)
-		r = nr
-	}
-	r.store(b, int64(v))
-	d.bottom.Store(b + 1)
-}
-
-// Pop removes the most recently pushed job (owner only). The final element
-// races with thieves and is resolved by a CAS on top.
-func (d *Deque) Pop() (int, bool) {
-	b := d.bottom.Load() - 1
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if t > b {
-		// Empty: restore the canonical empty state.
-		d.bottom.Store(t)
-		return 0, false
-	}
-	v := d.buf.Load().load(b)
-	if t == b {
-		// Last element: win it from any concurrent thief or concede it.
-		won := d.top.CompareAndSwap(t, t+1)
-		d.bottom.Store(t + 1)
-		if !won {
-			return 0, false
-		}
-	}
-	return int(v), true
-}
-
-// Steal removes the oldest job (any goroutine). retry reports a lost race
-// with the owner or another thief — the deque may still have work.
-func (d *Deque) Steal() (v int, ok, retry bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return 0, false, false
-	}
-	x := d.buf.Load().load(t)
-	if !d.top.CompareAndSwap(t, t+1) {
-		return 0, false, true
-	}
-	return int(x), true, false
-}
-
-// Len is a racy point-in-time depth, for introspection only.
-func (d *Deque) Len() int {
-	n := d.bottom.Load() - d.top.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Process-wide totals, accumulated by every Map call; the serving stack
-// exports them (qsm_sched_* metrics, /statusz) the way sim.TotalEvents
-// tracks simulated events.
-var (
-	totSteals    atomic.Uint64
-	totOverflows atomic.Uint64
-	totParks     atomic.Uint64
-)
-
-// Totals returns the process-wide scheduler counters.
-func Totals() Stats {
-	return Stats{
-		Steals:    totSteals.Load(),
-		Overflows: totOverflows.Load(),
-		Parks:     totParks.Load(),
-	}
-}
-
-// PoolInfo is a live snapshot of one running pool for introspection.
-type PoolInfo struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	Jobs    int    `json:"jobs"`
-	// Depths is each worker's current deque depth (racy snapshot).
-	Depths []int `json:"depths"`
-	// Claimed is how many of the pool's jobs have been claimed so far.
-	Claimed int64  `json:"claimed"`
-	Steals  uint64 `json:"steals"`
-}
-
-type pool struct {
-	name    string
-	n       int64
-	deques  []*Deque
-	claimed atomic.Int64
-	steals  atomic.Uint64
-	parks   atomic.Uint64
-}
-
-var (
-	liveMu sync.Mutex
-	live   = map[*pool]struct{}{}
-)
-
-func registerPool(p *pool) {
-	liveMu.Lock()
-	live[p] = struct{}{}
-	liveMu.Unlock()
-}
-
-func unregisterPool(p *pool) {
-	liveMu.Lock()
-	delete(live, p)
-	liveMu.Unlock()
-}
-
-// LivePools snapshots every pool currently inside a Map call, with racy
-// per-worker deque depths — the feed behind qsmtop's scheduler pane.
-func LivePools() []PoolInfo {
-	liveMu.Lock()
-	pools := make([]*pool, 0, len(live))
-	for p := range live {
-		pools = append(pools, p)
-	}
-	liveMu.Unlock()
-	out := make([]PoolInfo, 0, len(pools))
-	for _, p := range pools {
-		info := PoolInfo{
-			Name:    p.name,
-			Workers: len(p.deques),
-			Jobs:    int(p.n),
-			Claimed: p.claimed.Load(),
-			Steals:  p.steals.Load(),
-		}
-		for _, d := range p.deques {
-			info.Depths = append(info.Depths, d.Len())
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// seedOrder returns job indices in seeding order: descending estimated cost
+// claimOrder returns job indices in claim order: descending estimated cost
 // under a hint (ties broken by index, so the order is deterministic), index
 // order otherwise.
-func seedOrder(n int, cost func(i int) float64) []int {
+func claimOrder(n int, cost func(i int) float64) []int {
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	if cost != nil {
-		sort.SliceStable(order, func(a, b int) bool {
-			return cost(order[a]) > cost(order[b])
-		})
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost(b), cost(a)) })
 	}
 	return order
 }
 
-// Map runs fn(i) for every i in [0, n) across par workers with work
-// stealing and returns the call's scheduler stats. fn must be safe for
-// concurrent calls on distinct indices; each index runs exactly once. A
-// panic in any job is captured with the executing worker's stack and
-// re-raised in the caller as *Panic after the pool drains — the same
-// contract the fixed pool had, so failing simulations keep reporting where
-// they died. par <= 1 (or n <= 1) runs serially in index order with no pool
-// at all.
-func Map(par, n int, fn func(i int), opt Options) Stats {
+// Map runs fn(i) for every i in [0, n) across par workers, which claim jobs
+// in claimOrder from one shared counter. fn must be safe for concurrent
+// calls on distinct indices; each index runs at most once, and exactly once
+// unless a job panics. A panic in any job is captured with the executing
+// worker's stack, stops every worker from claiming further jobs, and is
+// re-raised in the caller as *Panic once the running jobs return. par <= 1
+// (or n <= 1) runs serially in index order with no pool at all.
+func Map(par, n int, fn func(i int), opt Options) {
 	if par > n {
 		par = n
 	}
@@ -298,111 +89,35 @@ func Map(par, n int, fn func(i int), opt Options) Stats {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		return Stats{}
+		return
 	}
 
-	p := &pool{name: opt.Name, n: int64(n), deques: make([]*Deque, par)}
-	share := (n + par - 1) / par
-	for w := range p.deques {
-		p.deques[w] = NewDeque(share)
-	}
-	// Deal jobs round-robin in seeding order, then stack each worker's hand
-	// so the owner pops its highest-cost job first: the deal assigns jobs
-	// w, w+par, w+2par, ... (descending cost under a hint), and pushing that
-	// hand in reverse puts the most expensive at the LIFO end.
-	order := seedOrder(n, opt.Cost)
-	for w := 0; w < par; w++ {
-		for k := ((n - 1 - w) / par) * par; k >= 0; k -= par {
-			p.deques[w].Push(order[k+w])
-		}
-	}
-
-	registerPool(p)
-	defer unregisterPool(p)
-
+	order := claimOrder(n, opt.Cost)
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64
 		panicked atomic.Pointer[Panic]
 	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
+	wg.Add(par)
+	for range par {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicked.CompareAndSwap(nil, &Panic{Val: r, Stack: debug.Stack()})
 				}
 			}()
-			p.work(w, fn)
-		}(w)
+			for panicked.Load() == nil {
+				k := next.Add(1) - 1
+				if k >= int64(n) {
+					return
+				}
+				fn(order[k])
+			}
+		}()
 	}
 	wg.Wait()
-
-	st := Stats{Steals: p.steals.Load(), Parks: p.parks.Load()}
-	for _, d := range p.deques {
-		st.Overflows += d.overflows.Load()
-	}
-	totSteals.Add(st.Steals)
-	totOverflows.Add(st.Overflows)
-	totParks.Add(st.Parks)
-	if r := panicked.Load(); r != nil {
-		panic(r)
-	}
-	return st
-}
-
-// work is one worker's loop: drain the local deque LIFO, then sweep the
-// other deques as a thief, then — with jobs still unclaimed somewhere in
-// flight — back off and retry. The claimed counter is the termination
-// barrier: every job is claimed exactly once (Pop and Steal both linearize
-// on the deque), so claimed == n means no work will ever appear again and
-// the worker may exit.
-func (p *pool) work(w int, fn func(int)) {
-	own := p.deques[w]
-	par := len(p.deques)
-	idle := 0
-	for {
-		if v, ok := own.Pop(); ok {
-			idle = 0
-			p.claimed.Add(1)
-			fn(v)
-			continue
-		}
-		stole := false
-		for k := 1; k < par && !stole; k++ {
-			victim := p.deques[(w+k)%par]
-			for {
-				v, ok, retry := victim.Steal()
-				if ok {
-					p.claimed.Add(1)
-					p.steals.Add(1)
-					fn(v)
-					stole = true
-					break
-				}
-				if !retry {
-					break
-				}
-			}
-		}
-		if stole {
-			idle = 0
-			continue
-		}
-		if p.claimed.Load() >= p.n {
-			return
-		}
-		// Nothing local, nothing stealable, but claimed jobs are still
-		// running (their owners might push follow-up work in a future
-		// extension, and a racing Pop/Steal may briefly hide the last job).
-		// Back off: a few yields first, then counted parks.
-		idle++
-		if idle <= 3 {
-			// Cheap yield: let the goroutines holding jobs run.
-			runtime.Gosched()
-		} else {
-			p.parks.Add(1)
-			time.Sleep(time.Duration(min(idle, 16)) * 20 * time.Microsecond)
-		}
+	if p := panicked.Load(); p != nil {
+		panic(p)
 	}
 }

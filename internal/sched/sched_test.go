@@ -1,186 +1,93 @@
 package sched
 
 import (
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestDequeLIFOOwner checks the owner end: Pop returns the most recent Push.
-func TestDequeLIFOOwner(t *testing.T) {
-	d := NewDeque(4)
-	for i := 0; i < 10; i++ {
-		d.Push(i)
-	}
-	for i := 9; i >= 0; i-- {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = %d,%v; want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := d.Pop(); ok {
-		t.Fatal("Pop on empty deque returned ok")
-	}
-}
-
-// TestDequeFIFOThief checks the thief end: Steal returns the oldest Push.
-func TestDequeFIFOThief(t *testing.T) {
-	d := NewDeque(4)
-	for i := 0; i < 10; i++ {
-		d.Push(i)
-	}
-	for i := 0; i < 10; i++ {
-		v, ok, retry := d.Steal()
-		if !ok || retry || v != i {
-			t.Fatalf("Steal = %d,%v,%v; want %d,true,false", v, ok, retry, i)
-		}
-	}
-	if _, ok, _ := d.Steal(); ok {
-		t.Fatal("Steal on empty deque returned ok")
-	}
-}
-
-// TestDequeGrowth pushes far past the initial ring and checks overflow
-// counting plus element integrity across growth.
-func TestDequeGrowth(t *testing.T) {
-	d := NewDeque(1) // minRingSize ring
-	const n = 1000
-	for i := 0; i < n; i++ {
-		d.Push(i)
-	}
-	if d.overflows.Load() == 0 {
-		t.Fatal("expected ring growth overflows")
-	}
-	if d.Len() != n {
-		t.Fatalf("Len = %d; want %d", d.Len(), n)
-	}
-	for i := n - 1; i >= 0; i-- {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("after growth: Pop = %d,%v; want %d,true", v, ok, i)
-		}
-	}
-}
-
-// TestDequeStealStorm hammers one owner (push/pop) with many concurrent
-// thieves under -race: every value must be claimed exactly once, none lost.
-func TestDequeStealStorm(t *testing.T) {
-	const (
-		n       = 20000
-		thieves = 8
-	)
-	d := NewDeque(8)
-	seen := make([]atomic.Int32, n)
-	claim := func(v int) {
-		if seen[v].Add(1) != 1 {
-			t.Errorf("value %d claimed more than once", v)
-		}
-	}
-
-	var claimed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < thieves; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for claimed.Load() < n {
-				v, ok, retry := d.Steal()
-				if ok {
-					claim(v)
-					claimed.Add(1)
-				} else if !retry {
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-
-	// Owner interleaves pushes with occasional pops.
-	for i := 0; i < n; i++ {
-		d.Push(i)
-		if i%3 == 0 {
-			if v, ok := d.Pop(); ok {
-				claim(v)
-				claimed.Add(1)
-			}
-		}
-	}
-	for claimed.Load() < n {
-		if v, ok := d.Pop(); ok {
-			claim(v)
-			claimed.Add(1)
-		} else {
-			runtime.Gosched()
-		}
-	}
-	wg.Wait()
-
-	for i := range seen {
-		if got := seen[i].Load(); got != 1 {
-			t.Fatalf("value %d claimed %d times", i, got)
-		}
-	}
-}
-
 // TestMapRunsEachIndexOnce checks Map's exactly-once contract across
-// parallelism levels, including par > n and n = 0.
+// parallelism levels, including par > n and n = 0, with and without a cost
+// hint.
 func TestMapRunsEachIndexOnce(t *testing.T) {
-	for _, par := range []int{0, 1, 2, 4, 16} {
-		for _, n := range []int{0, 1, 7, 64, 500} {
-			seen := make([]atomic.Int32, n)
-			Map(par, n, func(i int) { seen[i].Add(1) }, Options{})
-			for i := range seen {
-				if got := seen[i].Load(); got != 1 {
-					t.Fatalf("par=%d n=%d: index %d ran %d times", par, n, i, got)
+	for _, opt := range []Options{{}, {Cost: func(i int) float64 { return float64(i % 5) }}} {
+		for _, par := range []int{0, 1, 2, 4, 16} {
+			for _, n := range []int{0, 1, 7, 64, 500} {
+				seen := make([]atomic.Int32, n)
+				Map(par, n, func(i int) { seen[i].Add(1) }, opt)
+				for i := range seen {
+					if got := seen[i].Load(); got != 1 {
+						t.Fatalf("par=%d n=%d cost=%v: index %d ran %d times",
+							par, n, opt.Cost != nil, i, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestMapCostSeeding verifies cost-hinted seeding starts the most expensive
-// job immediately: with par=2 the two highest-cost jobs are the first two
-// claimed (they sit at the LIFO end of each worker's deque).
-func TestMapCostSeeding(t *testing.T) {
-	n := 16
-	cost := func(i int) float64 { return float64(i) } // job n-1 most expensive
-	var mu sync.Mutex
-	var order []int
-	Map(2, n, func(i int) {
-		mu.Lock()
-		order = append(order, i)
-		mu.Unlock()
-	}, Options{Cost: cost})
-	if len(order) != n {
-		t.Fatalf("ran %d jobs; want %d", len(order), n)
+// TestMapClaimsInLPTOrder pins the schedule itself. Every job blocks on its
+// own channel and the test releases one at a time; the freed worker is then
+// the only one able to claim, so the job that starts next must be exactly
+// the next index of the cost-descending order.
+func TestMapClaimsInLPTOrder(t *testing.T) {
+	const par, n = 3, 12
+	cost := func(i int) float64 { return float64((i * 5) % 7) } // ties broken by index
+	want := claimOrder(n, cost)
+
+	started := make(chan int)
+	release := make([]chan struct{}, n)
+	for i := range release {
+		release[i] = make(chan struct{})
 	}
-	// Each worker's first action is a Pop of its own deque bottom, which
-	// cost seeding makes that worker's most expensive job — so whichever
-	// worker claims first, the first job overall is one of the global top
-	// two (15 on worker 0, 14 on worker 1). This holds at any GOMAXPROCS.
-	if order[0] != n-1 && order[0] != n-2 {
-		t.Fatalf("first claimed job %d is not a deque-bottom giant; order=%v",
-			order[0], order)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Map(par, n, func(i int) {
+			started <- i
+			<-release[i]
+		}, Options{Cost: cost})
+	}()
+
+	// The first par claims race to report, so only their set is fixed.
+	running := map[int]bool{}
+	for k := 0; k < par; k++ {
+		running[<-started] = true
 	}
+	for k := 0; k < par; k++ {
+		if !running[want[k]] {
+			t.Fatalf("first %d jobs started = %v; want %v", par, running, want[:par])
+		}
+	}
+	// From here on, each release frees exactly one worker.
+	for k := par; k < n; k++ {
+		close(release[want[k-par]])
+		if got := <-started; got != want[k] {
+			t.Fatalf("claim %d started job %d; want %d (order %v)", k, got, want[k], want)
+		}
+	}
+	for k := n - par; k < n; k++ {
+		close(release[want[k]])
+	}
+	<-done
 }
 
-// TestSeedOrder pins the deterministic seeding order: descending cost with
+// TestClaimOrder pins the deterministic claim order: descending cost with
 // index ties stable, or plain index order without a hint.
-func TestSeedOrder(t *testing.T) {
-	got := seedOrder(5, func(i int) float64 { return float64(i % 3) })
+func TestClaimOrder(t *testing.T) {
+	got := claimOrder(5, func(i int) float64 { return float64(i % 3) })
 	// costs: 0,1,2,0,1 → descending with stable ties: 2, 1, 4, 0, 3
 	want := []int{2, 1, 4, 0, 3}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("seedOrder = %v; want %v", got, want)
+			t.Fatalf("claimOrder = %v; want %v", got, want)
 		}
 	}
-	got = seedOrder(4, nil)
+	got = claimOrder(4, nil)
 	for i := range got {
 		if got[i] != i {
-			t.Fatalf("seedOrder(nil) = %v; want identity", got)
+			t.Fatalf("claimOrder(nil) = %v; want identity", got)
 		}
 	}
 }
@@ -200,8 +107,7 @@ func TestMapSerialFallbackOrder(t *testing.T) {
 }
 
 // TestMapPanicCarriesWorkerStack checks a job panic is re-raised in the
-// caller as *Panic with the executing worker's stack — including when the
-// panicking job was stolen.
+// caller as *Panic with the executing worker's stack.
 func TestMapPanicCarriesWorkerStack(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -229,76 +135,48 @@ func TestMapPanicCarriesWorkerStack(t *testing.T) {
 	}, Options{})
 }
 
-// TestMapStatsAndTotals runs a skewed load and checks per-call stats and
-// the process totals both move.
-func TestMapStatsAndTotals(t *testing.T) {
-	before := Totals()
-	var spin atomic.Int64
-	st := Map(4, 64, func(i int) {
-		// One giant job so the other workers go hungry and steal.
-		iters := 1000
-		if i == 0 {
-			iters = 400000
-		}
-		for k := 0; k < iters; k++ {
-			spin.Add(1)
-		}
-	}, Options{Cost: func(i int) float64 {
-		if i == 0 {
-			return 1000
-		}
-		return 1
-	}, Name: "test-skew"})
-	after := Totals()
-	if after.Steals-before.Steals != st.Steals {
-		t.Fatalf("Totals steals delta %d != call stats %d",
-			after.Steals-before.Steals, st.Steals)
+// TestMapStopsClaimingAfterPanic checks a failed job ends the sweep: once
+// the first job panics, the other workers finish the job they hold and
+// claim no more, instead of running the rest of the sweep before Map
+// re-raises.
+func TestMapStopsClaimingAfterPanic(t *testing.T) {
+	const n = 10000
+	var ran atomic.Int64
+	func() {
+		defer func() {
+			if _, ok := recover().(*Panic); !ok {
+				t.Fatal("Map did not re-raise the job panic as *Panic")
+			}
+		}()
+		Map(2, n, func(i int) {
+			ran.Add(1)
+			if i == 0 {
+				panic("first job fails")
+			}
+			time.Sleep(10 * time.Microsecond)
+		}, Options{})
+	}()
+	if got := ran.Load(); got > n/10 {
+		t.Fatalf("%d of %d jobs ran after the first one panicked", got, n)
 	}
-	if after.Parks-before.Parks < st.Parks {
-		t.Fatalf("Totals parks did not accumulate: %d < %d",
-			after.Parks-before.Parks, st.Parks)
-	}
-	// With 4 workers, one giant job, and cost seeding there is essentially
-	// always at least one steal on a multicore box — but on GOMAXPROCS=1
-	// the goroutines run to completion serially, so don't assert > 0.
-	t.Logf("stats: %+v", st)
 }
 
-// TestLivePools checks pools are visible with worker depths while running
-// and unregistered afterwards.
-func TestLivePools(t *testing.T) {
-	inFlight := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var once sync.Once
-		Map(2, 8, func(i int) {
-			once.Do(func() {
-				close(inFlight)
-				<-release
-			})
-		}, Options{Name: "live-test"})
-	}()
-	<-inFlight
-	pools := LivePools()
-	found := false
-	for _, p := range pools {
-		if p.Name == "live-test" {
-			found = true
-			if p.Workers != 2 || p.Jobs != 8 || len(p.Depths) != 2 {
-				t.Fatalf("pool snapshot wrong: %+v", p)
-			}
-		}
+// TestMapStatsAndTotals checks the deprecated process totals stay zero
+// across a parallel, cost-hinted Map: the pool has no steals to count.
+func TestMapStatsAndTotals(t *testing.T) {
+	Map(4, 64, func(int) {}, Options{Cost: func(i int) float64 { return float64(i) }})
+	if got := Totals(); got != (Stats{}) {
+		t.Fatalf("Totals() = %+v; want zero", got)
 	}
-	if !found {
-		t.Fatalf("live-test pool not in LivePools: %+v", pools)
+}
+
+// BenchmarkMap measures the pool's own cost per job: 4096 no-op jobs on two
+// workers, the shape benchmark/'s sched.map_ns_per_job probe times.
+func BenchmarkMap(b *testing.B) {
+	const jobs = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Map(2, jobs, func(int) {}, Options{})
 	}
-	close(release)
-	<-done
-	for _, p := range LivePools() {
-		if p.Name == "live-test" {
-			t.Fatal("pool still registered after Map returned")
-		}
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
 }

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// admitQueue is the scheduler's admission queue: the service-side extension
-// of the work-stealing refactor (internal/sched gives the runner LPT
-// scheduling inside one sweep; this gives the serving tier priority,
-// deadline, and tenant fairness across sweeps). It replaces the old FIFO
-// channel with policy-aware dequeue:
+// admitQueue is the scheduler's admission queue: the service-side half of
+// scheduling (internal/sched gives the runner LPT scheduling inside one
+// sweep; this gives the serving tier priority, deadline, and tenant
+// fairness across sweeps). It replaces the old FIFO channel with
+// policy-aware dequeue:
 //
 //   - Priority: higher Request.Priority dequeues first.
 //   - Aging: a job's effective priority rises by one for every AgingStep it

@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,19 +193,31 @@ func TestQueueBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestStatusSchedSection checks /statusz's scheduler section reflects the
-// process-wide work-stealing totals.
+// TestStatusSchedSection checks the sweep pool has no section of its own
+// in /statusz or /metricsz: it claims jobs from one counter and keeps no
+// counters, so after a parallel sweep neither surface names it.
 func TestStatusSchedSection(t *testing.T) {
 	s := newSched(t, service.Config{Workers: 1, SimParallelism: 4})
 	done := waitJob(t, s, submit(t, s, "fig7", 960).ID)
 	if done.State != service.StateDone {
 		t.Fatalf("job state = %s (%s)", done.State, done.Error)
 	}
-	st := s.Status()
-	// fig7 quick fans dozens of jobs over 4 stealing workers; with the
-	// whole sweep claimed through the deques, a zero steal count alongside
-	// zero parks would mean the pool never ran at all.
-	if st.Sched.Steals == 0 && st.Sched.Parks == 0 && st.Sched.Overflows == 0 {
-		t.Errorf("sched totals all zero after a parallel sweep: %+v", st.Sched)
+	raw, err := json.Marshal(s.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &status); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := status["sched"]; ok {
+		t.Errorf("/statusz carries a sched section: %s", status["sched"])
+	}
+	var metrics strings.Builder
+	if err := s.WriteMetricsText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(metrics.String(), "qsm_sched_") {
+		t.Errorf("/metricsz carries qsm_sched_ series:\n%s", metrics.String())
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -894,7 +893,7 @@ func (s *Scheduler) simParallelism() int {
 }
 
 // WriteMetricsText dumps the scheduler's obs registry followed by the
-// store's self-metrics, the work-stealing scheduler's process totals, and
+// store's self-metrics, the stream fan-out counters, the tenant quotas, and
 // (when armed) the fault injector's per-class fire counters, all in
 // Prometheus text format; /metricsz serves it. The registries use disjoint
 // subsystems, so the concatenation is a valid exposition.
@@ -908,21 +907,9 @@ func (s *Scheduler) WriteMetricsText(w io.Writer) error {
 	if err := s.cfg.Store.WriteMetricsText(w); err != nil {
 		return err
 	}
-	// The steal/overflow/park totals live in process-global atomics (they
-	// must stay out of the deterministic per-sweep sinks, whose merged
-	// metrics are byte-identical at any parallelism); render them through a
-	// scrape-time recorder so the exposition format matches the rest.
-	t := sched.Totals()
-	srec := obs.New(obs.Config{Metrics: true})
-	srec.Counter("sched", "steals", "").Add(t.Steals)
-	srec.Counter("sched", "overflows", "").Add(t.Overflows)
-	srec.Counter("sched", "parks", "").Add(t.Parks)
-	if err := srec.WritePrometheusText(w); err != nil {
-		return err
-	}
 	// Stream fan-out counters live in atomics (publishers must never take
-	// the metrics lock on the notify path); render them scrape-time like
-	// the sched totals.
+	// the metrics lock on the notify path); render them through a
+	// scrape-time recorder so the exposition format matches the rest.
 	ss := s.streams.status()
 	strec := obs.New(obs.Config{Metrics: true})
 	strec.Gauge("stream", "subscribers", "").Set(ss.Subscribers)

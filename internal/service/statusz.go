@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -28,16 +27,6 @@ type QueueStatus struct {
 	AgingStepSeconds float64 `json:"aging_step_seconds,omitempty"`
 	// Tenants is the queued-job count per tenant (omitted when idle).
 	Tenants map[string]int `json:"tenants,omitempty"`
-}
-
-// SchedStatus reports the work-stealing simulation scheduler: process-wide
-// steal/overflow/park totals since start, plus a racy snapshot of every
-// pool currently inside a sweep with its per-worker deque depths.
-type SchedStatus struct {
-	Steals    uint64           `json:"steals"`
-	Overflows uint64           `json:"overflows"`
-	Parks     uint64           `json:"parks"`
-	Pools     []sched.PoolInfo `json:"pools,omitempty"`
 }
 
 // JobCounts breaks the job table down by lifecycle state.
@@ -85,7 +74,6 @@ type Status struct {
 	Queue         QueueStatus       `json:"queue"`
 	Jobs          JobCounts         `json:"jobs"`
 	Scheduler     SchedulerCounters `json:"scheduler"`
-	Sched         SchedStatus       `json:"sched"`
 	Store         store.Stats       `json:"store"`
 	Faults        FaultStatus       `json:"faults"`
 	// Streams summarises the push side: live subscribers and fan-out
@@ -113,13 +101,6 @@ func (s *Scheduler) Status() Status {
 			Tenants:          s.queue.TenantDepths(),
 		},
 		Store: s.cfg.Store.Stats(),
-	}
-	t := sched.Totals()
-	st.Sched = SchedStatus{
-		Steals:    t.Steals,
-		Overflows: t.Overflows,
-		Parks:     t.Parks,
-		Pools:     sched.LivePools(),
 	}
 
 	s.mu.Lock()

@@ -1,39 +1,47 @@
 #!/usr/bin/env python3
-"""Gate events/sec and allocs/event against the committed BENCH_<id>.json baselines.
+"""Gate events/sec, allocs/event and bytes/event against the committed BENCH_<id>.json baselines.
 
 Usage:
     perfcheck.py --baseline bench --fresh /tmp/bench [--tolerance 0.25] id...
 
 For each experiment id, loads bench/BENCH_<id>.json (the committed baseline)
-and /tmp/bench/BENCH_<id>.json (just produced by `qsmbench -json`) and fails
-if the fresh events_per_sec falls more than --tolerance below the baseline.
-The sim_events counts must match exactly: a drifting event count means the
-simulation changed, which is a correctness problem the perf gate must not
-paper over. Allocations per simulated event (allocs / sim_events) are gated
-the other way round by the same --tolerance: unlike events/sec the ratio
-barely depends on the machine, so a rise is a code change, not CI noise
-(0.01 allocs/event of absolute slack keeps records that hardly allocate,
-fig7 and runner, from being gated on the worker pool's own allocations).
+and /tmp/bench/BENCH_<id>.json (just produced by `qsmbench -parallel 1
+-json`) and fails if the fresh events_per_sec falls more than --tolerance
+below the baseline. The sim_events counts must match exactly: a drifting
+event count means the simulation changed, which is a correctness problem the
+perf gate must not paper over.
 
-The tolerance is generous (default 25%) because the baseline is refreshed on
-a developer machine while the gate runs on CI hardware; regenerate the
-baselines (see EXPERIMENTS.md) whenever an intentional engine change moves
-throughput.
+Allocations and bytes allocated per simulated event (allocs / sim_events,
+alloc_bytes / sim_events) are gated the other way round, 5% above the
+baseline (ALLOC_TOLERANCE): unlike events/sec the ratios barely depend
+on the machine, so a rise is a code change, not CI noise. Each ceiling adds
+a small absolute slack (0.01 allocs/event, 1 B/event) so records that hardly
+allocate, fig7 and runner, are not gated on rounding. Record and check at
+-parallel 1, as the baselines were recorded, so the worker pool's own
+allocations stay out of the ratios.
+
+The events/s tolerance is generous (default 25%) because the baseline is
+refreshed on a developer machine while the gate runs on CI hardware;
+regenerate the baselines (see EXPERIMENTS.md) whenever an intentional engine
+change moves throughput or allocation.
 
 Records may carry an "extra" map of named values. Keys starting with
 "model_" are machine-independent (deterministic schedule-model outputs of
 the runner driver) and are gated exactly: a fresh value must match the
 baseline to 6 significant digits, and every key starting "model_speedup"
-must also clear --min-speedup (default 1.3) — the committed proof that the
-work-stealing scheduler beats the fixed pool on skewed shapes. Keys
-starting "measured_" are wall-clock observations and are reported but
-never gated.
+must also clear --min-speedup (default 1.3) — the committed proof that
+claiming jobs in descending-cost (LPT) order beats submission order on
+skewed shapes. Keys starting "measured_" are wall-clock observations and
+are reported but never gated.
 """
 
 import argparse
 import json
 import pathlib
 import sys
+
+# Allowed fractional rise in allocs/event and bytes/event over the baseline.
+ALLOC_TOLERANCE = 0.05
 
 
 def load(path):
@@ -70,25 +78,29 @@ def main():
             failed = True
         else:
             print(f"ok   {line}")
-        failed |= check_allocs(eid, base, fresh, args.tolerance)
+        failed |= check_allocs(eid, base, fresh)
         failed |= check_extra(eid, base.get("extra") or {}, fresh.get("extra") or {},
                               args.min_speedup)
     return 1 if failed else 0
 
 
-def check_allocs(eid, base, fresh, tolerance):
-    """Gate allocations per simulated event against the baseline's."""
+def check_allocs(eid, base, fresh):
+    """Gate allocations and bytes allocated per simulated event against the baseline's."""
     if not base.get("sim_events") or not fresh.get("sim_events"):
         return False
-    b = base["allocs"] / base["sim_events"]
-    f = fresh["allocs"] / fresh["sim_events"]
-    ceiling = b * (1.0 + tolerance) + 0.01
-    line = f"{eid}: baseline {b:.3f} allocs/event, fresh {f:.3f} (ceiling {ceiling:.3f})"
-    if f > ceiling:
-        print(f"FAIL {line}")
-        return True
-    print(f"ok   {line}")
-    return False
+    failed = False
+    for field, unit, slack, fmt in (("allocs", "allocs/event", 0.01, ".4f"),
+                                    ("alloc_bytes", "B/event", 1.0, ".2f")):
+        b = base[field] / base["sim_events"]
+        f = fresh[field] / fresh["sim_events"]
+        ceiling = b * (1.0 + ALLOC_TOLERANCE) + slack
+        line = f"{eid}: baseline {b:{fmt}} {unit}, fresh {f:{fmt}} (ceiling {ceiling:{fmt}})"
+        if f > ceiling:
+            print(f"FAIL {line}")
+            failed = True
+        else:
+            print(f"ok   {line}")
+    return failed
 
 
 def check_extra(eid, base, fresh, min_speedup):
