@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -207,14 +208,21 @@ func TestWyllieMoreExpensiveThanRandomized(t *testing.T) {
 
 // TestSampleSortAdversarialInputs exercises the sorter on inputs where
 // random sampling is stressed: pre-sorted, reverse-sorted, nearly sorted,
-// and all-equal.
+// and all-equal; and on mixed-sign keys spanning the whole int64 range,
+// which the local radix sort orders only through its sign-bit flip.
 func TestSampleSortAdversarialInputs(t *testing.T) {
 	const n, p = 6000, 8
+	mixed := workload.UniformInts(n, 0, 9)
+	for i := 1; i < n; i += 2 {
+		mixed[i] = ^mixed[i] // [0, MaxInt64] -> [MinInt64, -1]
+	}
+	mixed[0], mixed[n/2] = math.MinInt64, math.MaxInt64
 	cases := map[string][]int64{
 		"sorted":        workload.SortedInts(n),
 		"reverse":       workload.ReverseSortedInts(n),
 		"nearly-sorted": workload.NearlySortedInts(n, 0.05, 3),
 		"all-equal":     workload.ConstantInts(n, 7),
+		"mixed-sign":    mixed,
 	}
 	for name, in := range cases {
 		name, in := name, in

@@ -17,7 +17,9 @@ type SampleSort struct {
 	// C is the over-sampling factor: each processor draws C*ceil(log2 n)
 	// random samples. Zero means 2.
 	C int
-	// Input returns processor id's block of the distributed input.
+	// Input returns processor id's block of the distributed input. The
+	// block is read in place, not copied, so it must not be modified until
+	// the machine's Run returns.
 	Input func(id, p int) []int64
 	// Skew, when non-nil, receives the measured load-balance quantities the
 	// paper's "QSM estimate" lines are computed from.
@@ -88,7 +90,7 @@ func (a SampleSort) Program() core.Program {
 		n := a.N
 		clogn := c * ceilLog2(n)
 		lo, hi := workload.Partition(n, p, id)
-		local := append([]int64(nil), a.Input(id, p)...)
+		local := a.Input(id, p) // only read, so not copied
 		if len(local) != hi-lo {
 			panic("algorithms: input size does not match partition")
 		}
@@ -130,7 +132,7 @@ func (a SampleSort) Program() core.Program {
 		// Sort all cp*log n samples and pick every (c log n)-th as a pivot.
 		all := make([]int64, row)
 		ctx.ReadLocal(samples, id*row, all)
-		slices.Sort(all)
+		sortInt64s(all)
 		ctx.Compute(cpu.BlockQuickSort(row))
 		pivots := make([]int64, p-1)
 		for k := 1; k < p; k++ {
@@ -145,7 +147,7 @@ func (a SampleSort) Program() core.Program {
 		bucketOf := make([]int32, len(local))
 		counts := make([]int64, p)
 		for i, v := range local {
-			b, _ := slices.BinarySearch(pivots, v)
+			b := lowerBound(pivots, v)
 			bucketOf[i] = int32(b)
 			counts[b]++
 		}
@@ -220,7 +222,7 @@ func (a SampleSort) Program() core.Program {
 		ctx.Sync() // phase 3: buckets gathered
 
 		// Major step 3: sort the bucket locally.
-		slices.Sort(bucket)
+		sortInt64s(bucket)
 		ctx.Compute(cpu.BlockQuickSort(int(total)))
 
 		// Major step 4: write the sorted bucket to its output position.

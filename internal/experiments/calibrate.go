@@ -83,14 +83,12 @@ func wordComm(net machine.NetParams, words int, get bool, seed int64) sim.Time {
 		h := ctx.Register("calibw", p*words)
 		ctx.Sync()
 		peer := (ctx.ID() + 1) % p
-		idx := make([]int, 0, words)
-		seen := make(map[int]bool, words)
-		for i := 0; len(idx) < words; i++ {
-			ix := peer*words + (i*7919)%words // scattered within the peer's partition
-			if !seen[ix] {
-				seen[ix] = true
-				idx = append(idx, ix)
-			}
+		// Scattered within the peer's partition: 7919 is prime and divides
+		// neither probe size, so gcd(7919, words) = 1 and i*7919 mod words
+		// visits every offset exactly once for i < words.
+		idx := make([]int, words)
+		for i := range idx {
+			idx[i] = peer*words + (i*7919)%words
 		}
 		if get {
 			ctx.GetIndexed(h, idx, make([]int64, len(idx)))
