@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // BenchmarkEngineEventsPerSec drives the canonical hot path — a process
 // advancing the clock one cycle per event — and reports allocations, which
-// the event free list and closure-free resume are meant to hold near zero
-// at steady state.
+// the pointer-free queue and closure-free resume hold at zero at steady
+// state.
 func BenchmarkEngineEventsPerSec(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -45,11 +46,13 @@ func BenchmarkEngineManyProcsMixed(b *testing.B) {
 }
 
 // BenchmarkChanSendRecv measures a send/recv ping through the ring-buffered
-// channel; steady state must not grow the ring or the backing array.
+// channel; steady state must not grow the ring, the waiter queue or their
+// backing arrays. It sends one pointer, which boxes without allocating.
 func BenchmarkChanSendRecv(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	c := e.NewChan()
+	tok := new(int)
 	e.Spawn("recv", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Recv(p)
@@ -58,7 +61,7 @@ func BenchmarkChanSendRecv(b *testing.B) {
 	e.Spawn("send", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Advance(1)
-			c.Send(i)
+			c.Send(tok)
 		}
 	})
 	b.ResetTimer()
@@ -130,76 +133,108 @@ func TestChanRingWrapOrder(t *testing.T) {
 	}
 }
 
-// TestEventFreeListReuse checks that sequential events recycle one struct
-// instead of allocating per event.
-func TestEventFreeListReuse(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < 1000 {
-			e.After(1, tick)
-		}
-	}
-	e.After(1, tick)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1000 {
-		t.Fatalf("ran %d events, want 1000", n)
-	}
-	// Only one event is ever outstanding, so the free list holds one struct.
-	if len(e.free) > 2 {
-		t.Errorf("free list holds %d events, want <= 2", len(e.free))
+// TestEventQueueSteadyStateAllocs checks that, once the queue's storage
+// has grown, scheduling and firing events allocates nothing: a Proc wake, a
+// StepProc wake beside it, and a SendAfter of a pointer value through a warm
+// call slab. AllocsPerRun runs its first call unmeasured, which warms the
+// heap, ring and slab.
+func TestEventQueueSteadyStateAllocs(t *testing.T) {
+	tok := new(int)
+	for name, body := range map[string]func(t *testing.T, e *Engine, p *Proc) func(){
+		"proc wake": func(t *testing.T, e *Engine, p *Proc) func() {
+			return func() { p.Advance(1) }
+		},
+		"proc and step wake": func(t *testing.T, e *Engine, p *Proc) func() {
+			e.SpawnStep("stepper", func(sp *StepProc) Status { return sp.Sleep(1) })
+			return func() { p.Advance(1) }
+		},
+		"send after": func(t *testing.T, e *Engine, p *Proc) func() {
+			c := e.NewChan()
+			return func() {
+				c.SendAfter(1, tok)
+				p.Advance(1)
+				if v, ok := c.TryRecv(); !ok || v != tok {
+					t.Errorf("TryRecv = %v,%v, want the sent pointer", v, ok)
+				}
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			var allocs float64
+			e.Spawn("measure", func(p *Proc) {
+				allocs = testing.AllocsPerRun(1000, body(t, e, p))
+				e.Stop()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			e.Reset()
+			if allocs != 0 {
+				t.Errorf("%v allocations per run, want 0", allocs)
+			}
+		})
 	}
 }
 
-// TestHeapOrderProperty pushes events with random times and checks popMin
-// yields nondecreasing (at, seq) order — the invariant the engine's
-// determinism rests on.
+// TestChanBlockingRecvAllocs: 10 000 receives that each block until the
+// value arrives allocate nothing when the value itself needs no allocation.
+// The waiter queue empties after every wake, so popping it must keep its
+// backing array.
+func TestChanBlockingRecvAllocs(t *testing.T) {
+	e := NewEngine()
+	c := e.NewChan()
+	tok := new(int)
+	done := false
+	var allocs float64
+	e.Spawn("recv", func(p *Proc) {
+		allocs = testing.AllocsPerRun(10000, func() {
+			if c.Len() != 0 {
+				t.Error("value already buffered: the receive would not block")
+			}
+			if v := c.Recv(p); v != tok {
+				t.Errorf("Recv = %v, want the sent pointer", v)
+			}
+		})
+		done = true
+	})
+	e.Spawn("send", func(p *Proc) {
+		for !done {
+			p.Advance(1)
+			c.Send(tok)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per blocking Recv, want 0", allocs)
+	}
+}
+
+// TestHeapOrderProperty pushes keys with random times, some at the top of
+// the time range, and checks popMin yields increasing (at, seq) order — the
+// invariant the engine's determinism rests on.
 func TestHeapOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h eventHeap
 	const n = 2000
 	for seq := 0; seq < n; seq++ {
-		h.push(&event{at: Time(rng.Intn(97)), seq: uint64(seq)})
-	}
-	var prev *event
-	for i := 0; i < n; i++ {
-		ev := h.popMin()
-		if ev == nil {
-			t.Fatalf("heap empty after %d pops, want %d", i, n)
+		at := Time(rng.Intn(97))
+		if rng.Intn(4) == 0 {
+			at = math.MaxUint64 - at
 		}
-		if prev != nil && eventLess(ev, prev) {
-			t.Fatalf("pop %d out of order: (%d,%d) after (%d,%d)",
-				i, ev.at, ev.seq, prev.at, prev.seq)
+		h.push(eventKey{at: at, seq: uint64(seq)})
+	}
+	prev := h.popMin()
+	for i := 1; i < n; i++ {
+		k := h.popMin()
+		if k.at < prev.at || k.at == prev.at && k.seq < prev.seq {
+			t.Fatalf("pop %d out of order: (%d,%d) after (%d,%d)", i, k.at, k.seq, prev.at, prev.seq)
 		}
-		prev = ev
+		prev = k
 	}
-	if h.popMin() != nil {
-		t.Error("heap not empty after draining")
-	}
-}
-
-// TestCancelledEventsRecycled ensures cancelled events are skipped and
-// returned to the free list rather than firing or leaking.
-func TestCancelledEventsRecycled(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 0; i < 10; i++ {
-		ev := e.schedule(Time(i+1), func() { fired++ })
-		if i%2 == 1 {
-			ev.Cancel()
-		}
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 5 {
-		t.Errorf("fired %d events, want 5", fired)
-	}
-	if len(e.free) != 10 {
-		t.Errorf("free list holds %d events, want all 10", len(e.free))
+	if len(h) != 0 {
+		t.Errorf("heap holds %d keys after %d pops, want 0", len(h), n)
 	}
 }

@@ -14,23 +14,18 @@ type Chan struct {
 	buf     []interface{} // ring storage; len(buf) is the capacity
 	head    int           // index of the oldest value
 	count   int           // number of buffered values
-	waiters []waiter
+	waiters []uint32      // refs of blocked receivers of either kind, FIFO
 }
 
-// waiter is a blocked process of either kind, queued FIFO on a waiting
-// primitive. Exactly one field is non-nil.
-type waiter struct {
-	p  *Proc
-	sp *StepProc
-}
-
-// wake schedules a resume of w at the current instant, whichever kind it is.
-func (e *Engine) wake(w waiter) {
-	if w.p != nil {
-		e.scheduleProc(e.now, w.p)
-	} else {
-		e.scheduleStep(e.now, w.sp)
-	}
+// popFront removes and returns q's oldest entry. The rest shift down, so the
+// backing array is reused however often q empties and refills; reslicing
+// past the head would leave a zero-capacity slice that the next append
+// reallocates.
+func popFront(q *[]uint32) uint32 {
+	v := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	*q = (*q)[:n]
+	return v
 }
 
 // NewChan creates a channel bound to engine e.
@@ -40,15 +35,15 @@ func (e *Engine) NewChan() *Chan { return &Chan{e: e} }
 func (c *Chan) Send(v interface{}) { c.deliver(v) }
 
 // SendAfter makes v available to receivers d cycles from now. The in-flight
-// value rides on the event itself (the engine's wire-delay shuttle) rather
-// than in a closure, so a simulated message in transit costs no allocation
-// beyond its event struct.
+// value waits in a slot of the engine's call slab (the wire-delay shuttle)
+// rather than in a closure, so a simulated message in transit allocates
+// nothing once the slab is warm.
 func (c *Chan) SendAfter(d Time, v interface{}) {
 	if d == 0 {
 		c.deliver(v)
 		return
 	}
-	c.e.scheduleDeliver(c.e.now+d, c, v)
+	c.e.scheduleCall(c.e.now+d, call{ch: c, val: v})
 }
 
 func (c *Chan) deliver(v interface{}) {
@@ -58,9 +53,7 @@ func (c *Chan) deliver(v interface{}) {
 	c.buf[(c.head+c.count)%len(c.buf)] = v
 	c.count++
 	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		c.e.wake(w)
+		c.e.schedule(c.e.now, popFront(&c.waiters))
 	}
 }
 
@@ -92,7 +85,7 @@ func (c *Chan) take() interface{} {
 func (c *Chan) Recv(p *Proc) interface{} {
 	p.checkCurrent("Chan.Recv")
 	for c.count == 0 {
-		c.waiters = append(c.waiters, waiter{p: p})
+		c.waiters = append(c.waiters, p.ref)
 		p.blockOn("chan recv")
 	}
 	return c.take()
@@ -107,7 +100,7 @@ func (c *Chan) Recv(p *Proc) interface{} {
 // waiter took the value first.
 func (c *Chan) RecvStep(sp *StepProc) (v interface{}, ok bool, st Status) {
 	if c.count == 0 {
-		c.waiters = append(c.waiters, waiter{sp: sp})
+		c.waiters = append(c.waiters, sp.ref)
 		return nil, false, sp.Waiting("chan recv")
 	}
 	return c.take(), true, StepDone

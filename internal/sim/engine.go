@@ -29,7 +29,10 @@
 // There is one pending-event queue: a 4-ary heap ordered by (time, seq),
 // whose O(log n) bound holds for any schedule, fronted by a FIFO ring (the
 // same-timestamp cohort) that events scheduled for the current instant
-// drain through without touching the heap.
+// drain through without touching the heap. The queue holds no pointers:
+// heap entries carry their (time, seq) key inline beside a 32-bit ref
+// naming what fires, a process by its spawn index or a callback or channel
+// delivery by its slot in a small slab (event.go).
 //
 // Engines are single-threaded and carry no shared state, so independent
 // engines may run concurrently on separate goroutines; the experiment
@@ -69,11 +72,13 @@ type Engine struct {
 	// Pending events live in one of two places: nowq, a FIFO ring holding
 	// the remainder of the current instant's cohort (events scheduled for
 	// t == now while the engine executes that instant), and the
-	// time-ordered 4-ary heap behind it.
-	heap eventHeap
-	nowq eventRing
+	// time-ordered 4-ary heap behind it. Both hold refs (event.go); calls
+	// is the slab refCall refs index, freeCalls its free slots.
+	heap      eventHeap
+	nowq      refRing
+	calls     []call
+	freeCalls []uint32
 
-	free    []*event // recycled event structs, refilled as events fire
 	procs   []*Proc
 	steps   []*StepProc
 	current *Proc
@@ -117,33 +122,26 @@ func (e *Engine) Observe(r *obs.Recorder) {
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
 // Reset returns the engine to time zero so it can be reused for a fresh
-// simulation without reallocating its queue storage or event free list.
+// simulation without reallocating its queue storage or call slab.
 // Coroutine processes not yet finished — abandoned by Stop, left mid-wait by
 // a caller discarding a deadlocked run, or never started — are terminated:
 // a suspended one unwinds through a kill sentinel (running its defers), an
 // unstarted one is discarded, so Stop→Reset→reuse leaks nothing. Events()
 // deliberately survives Reset (see its doc); the clock, queues, and process
-// tables are cleared.
+// tables are cleared. Channels, signals and gates made before Reset belong
+// to the old simulation: their waiters name processes by spawn index, which
+// the next simulation reuses, so they must not be used after it.
 func (e *Engine) Reset() {
 	for _, p := range e.procs {
 		if !p.done {
 			e.kill(p)
 		}
 	}
-	for {
-		ev := e.heap.popMin()
-		if ev == nil {
-			break
-		}
-		e.recycle(ev)
-	}
-	for {
-		ev := e.nowq.pop()
-		if ev == nil {
-			break
-		}
-		e.recycle(ev)
-	}
+	e.heap = e.heap[:0]
+	e.nowq.head, e.nowq.count = 0, 0
+	clear(e.calls)
+	e.calls = e.calls[:0]
+	e.freeCalls = e.freeCalls[:0]
 	e.now = 0
 	e.seq = 0
 	e.procs = e.procs[:0]
@@ -161,133 +159,66 @@ func (e *Engine) kill(p *Proc) {
 	p.done = true
 }
 
-// newEvent takes a struct off the free list or allocates one.
-func (e *Engine) newEvent(t Time) *event {
-	if t < e.now {
+// schedule enqueues ref to fire at t, after everything already due at t:
+// into the same-instant ring when t is now (append order is scheduling
+// order there), into the heap otherwise. Only heap keys need a seq.
+func (e *Engine) schedule(t Time, ref uint32) {
+	switch {
+	case t == e.now:
+		e.nowq.push(ref)
+	case t > e.now:
+		e.heap.push(eventKey{at: t, seq: e.seq, ref: ref})
+		e.seq++
+	default:
 		panic(fmt.Sprintf("sim: scheduling event in the past (t=%d, now=%d)", t, e.now))
-	}
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.seq}
-	} else {
-		ev = &event{at: t, seq: e.seq}
-	}
-	e.seq++
-	return ev
-}
-
-// recycle returns a fired or cancelled event to the free list.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.proc = nil
-	ev.sp = nil
-	ev.ch = nil
-	ev.val = nil
-	e.free = append(e.free, ev)
-}
-
-// qpush enqueues a pending event: the same-timestamp ring when it fires at
-// the current instant (append order is seq order there), the time-ordered
-// heap otherwise.
-func (e *Engine) qpush(ev *event) {
-	if ev.at == e.now {
-		e.nowq.push(ev)
-	} else {
-		e.heap.push(ev)
 	}
 	e.obsQueueHW.Set(int64(e.pending()))
 }
 
-// pending returns the total number of queued events across both stores.
-func (e *Engine) pending() int { return e.heap.Len() + e.nowq.count }
-
-// peekLive returns the heap's earliest live event without removing it,
-// recycling any cancelled events found at the front. nil means the heap is
-// empty (the nowq ring may still hold events).
-func (e *Engine) peekLive() *event {
-	for {
-		ev := e.heap.peek()
-		if ev == nil || !ev.cancelled {
-			return ev
-		}
-		e.heap.popMin()
-		e.recycle(ev)
+// scheduleCall enqueues c to fire at t through a slab slot.
+func (e *Engine) scheduleCall(t Time, c call) {
+	var ref uint32
+	if n := len(e.freeCalls); n > 0 {
+		i := e.freeCalls[n-1]
+		e.freeCalls = e.freeCalls[:n-1]
+		e.calls[i] = c
+		ref = refCall | i
+	} else {
+		ref = newRef(refCall, len(e.calls), "pending calls")
+		e.calls = append(e.calls, c)
 	}
+	e.schedule(t, ref)
 }
 
-// schedule enqueues fn to run at time t. Ties are broken in schedule order.
-func (e *Engine) schedule(t Time, fn func()) *event {
-	ev := e.newEvent(t)
-	ev.fn = fn
-	e.qpush(ev)
-	return ev
-}
-
-// scheduleProc enqueues a resume of p at time t without allocating a
-// closure — the hot path behind Advance and every wake-up primitive.
-func (e *Engine) scheduleProc(t Time, p *Proc) *event {
-	ev := e.newEvent(t)
-	ev.proc = p
-	e.qpush(ev)
-	return ev
-}
-
-// scheduleStep enqueues a step of sp at time t, closure-free.
-func (e *Engine) scheduleStep(t Time, sp *StepProc) *event {
-	ev := e.newEvent(t)
-	ev.sp = sp
-	e.qpush(ev)
-	return ev
-}
-
-// scheduleDeliver enqueues delivery of v to channel c at time t — the
-// closure-free wire-delay shuttle behind Chan.SendAfter, which carries every
-// simulated message in flight through the machine and logp stacks.
-func (e *Engine) scheduleDeliver(t Time, c *Chan, v interface{}) *event {
-	ev := e.newEvent(t)
-	ev.ch = c
-	ev.val = v
-	e.qpush(ev)
-	return ev
-}
+// pending returns the total number of queued events across both stores.
+func (e *Engine) pending() int { return len(e.heap) + e.nowq.count }
 
 // At schedules fn to run at absolute time t. It may be called before Run or
 // from within a running process.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
+func (e *Engine) At(t Time, fn func()) { e.scheduleCall(t, call{fn: fn}) }
 
 // After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
+func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// nextEvent returns the next live event in (time, seq) order, advancing the
-// clock when the current instant's cohort is exhausted. The cohort drains in
-// two legs that together follow seq order: heap events that reached
-// the current timestamp first (they were scheduled from earlier instants,
-// so their seqs are the cohort's lowest), then the nowq ring of events
-// scheduled during the instant itself. Only a cohort boundary touches the
-// heap, so same-timestamp bursts cost O(1) ring operations instead of sifts.
-func (e *Engine) nextEvent() *event {
-	for {
-		nxt := e.peekLive()
-		switch {
-		case nxt != nil && nxt.at == e.now:
-			return e.heap.popMin()
-		case e.nowq.count > 0:
-			ev := e.nowq.pop()
-			if ev.cancelled {
-				e.recycle(ev)
-				continue
-			}
-			return ev
-		case nxt != nil:
-			e.now = nxt.at
-			return e.heap.popMin()
-		default:
-			return nil
-		}
+// nextEvent pops the next event in (time, seq) order, advancing the clock
+// when the current instant's cohort is exhausted; ok is false when nothing
+// is pending. The cohort drains in two legs that together follow scheduling
+// order: heap events that reached the current time first (they were
+// scheduled from earlier instants), then the ring of events scheduled during
+// the instant itself. Only a cohort boundary touches
+// the heap, so same-time bursts cost O(1) ring operations instead of sifts.
+func (e *Engine) nextEvent() (ref uint32, ok bool) {
+	switch {
+	case len(e.heap) > 0 && e.heap[0].at == e.now:
+		return e.heap.popMin().ref, true
+	case e.nowq.count > 0:
+		return e.nowq.pop(), true
+	case len(e.heap) > 0:
+		k := e.heap.popMin()
+		e.now = k.at
+		return k.ref, true
 	}
+	return 0, false
 }
 
 // Run executes events until the queue is empty or Stop is called. It returns
@@ -300,28 +231,28 @@ func (e *Engine) Run() error {
 		e.obsEvents.Add(e.nEvents - start)
 	}()
 	for !e.stopped {
-		ev := e.nextEvent()
-		if ev == nil {
+		ref, ok := e.nextEvent()
+		if !ok {
 			break
 		}
 		e.nEvents++
-		switch {
-		case ev.proc != nil:
-			p := ev.proc
-			e.recycle(ev)
-			e.runProc(p)
-		case ev.sp != nil:
-			sp := ev.sp
-			e.recycle(ev)
-			e.runStep(sp)
-		case ev.ch != nil:
-			c, v := ev.ch, ev.val
-			e.recycle(ev)
-			c.deliver(v)
+		i := ref & refIndex
+		switch ref &^ refIndex {
+		case refProc:
+			e.runProc(e.procs[i])
+		case refStep:
+			e.runStep(e.steps[i])
 		default:
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
+			// Free the slot before firing, so what the call schedules can
+			// reuse it.
+			c := e.calls[i]
+			e.calls[i] = call{}
+			e.freeCalls = append(e.freeCalls, i)
+			if c.ch != nil {
+				c.ch.deliver(c.val)
+			} else {
+				c.fn()
+			}
 		}
 	}
 	var blocked []BlockedProc

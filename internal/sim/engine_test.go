@@ -352,19 +352,6 @@ func TestYieldRunsAfterQueuedEvents(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.schedule(10, func() { fired = true })
-	ev.Cancel()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("ticker", func(p *Proc) {

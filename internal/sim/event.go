@@ -1,150 +1,169 @@
 package sim
 
-// event is a scheduled callback. Events compare by (at, seq) so that equal
-// times preserve scheduling order, making runs reproducible. Fired events are
-// recycled through the engine's free list, so a caller must not retain an
-// *event past its firing time; Cancel on a still-pending event is fine.
+import (
+	"fmt"
+	"math/bits"
+)
+
+// The pending-event queue holds no pointers. A pending event is a ref, 32
+// bits naming what fires: the top two bits are its kind, the low refBits an
+// index.
 //
-// The hot cases carry their target directly instead of wrapping it in a
-// closure, so the per-event closure allocation disappears from the engine's
-// hot path: proc resumes a blocked goroutine process, sp steps a
-// state-machine process, and ch/val deliver a value to a channel after a
-// wire delay (the "shuttle" behind Chan.SendAfter and every simulated
-// message in flight). fn remains for general scheduled callbacks.
-type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	proc      *Proc
-	sp        *StepProc
-	ch        *Chan
-	val       interface{}
-	cancelled bool
-}
+//   - refProc: resume e.procs[index], a coroutine process.
+//   - refStep: step e.steps[index], a state-machine process.
+//   - refCall: slot index of the engine's call slab, a callback (At, After,
+//     Signal.FireAfter) or a value in flight to a channel (Chan.SendAfter).
+//
+// Process wakes, the hot case, are the ref alone; only a call writes a slab
+// slot, and fired slots are reused through an index free list.
+const refBits = 30
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired
-// event is a no-op.
-func (ev *event) Cancel() { ev.cancelled = true }
+const (
+	refProc uint32 = iota << refBits
+	refStep
+	refCall
+)
 
-// eventLess orders events by (at, seq): the invariant both stores of the
-// pending-event queue (4-ary heap, same-time ring) preserve.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// refIndex masks a ref's index.
+const refIndex = 1<<refBits - 1
+
+// newRef builds the ref of index i of a kind, panicking at the 2^30 bound;
+// what names the table for the message.
+func newRef(kind uint32, i int, what string) uint32 {
+	if i > refIndex {
+		panic(fmt.Sprintf("sim: more than 2^%d %s on one engine", refBits, what))
 	}
-	return a.seq < b.seq
+	return kind | uint32(i)
 }
 
-// eventHeap is a concrete 4-ary min-heap ordered by (at, seq). The wide node
-// halves the tree depth of the binary heap it replaced, and the monomorphic
-// methods avoid container/heap's interface boxing on every push and pop.
-type eventHeap struct{ evs []*event }
+// call is a slab slot: fn to run, or val to deliver to ch.
+type call struct {
+	fn  func()
+	ch  *Chan
+	val interface{}
+}
 
-func (h *eventHeap) Len() int { return len(h.evs) }
+// eventKey is a heap entry: the (at, seq) order key inline, so a sift
+// compares without loading through a pointer, and the ref of what fires.
+// Equal times fire in scheduling order, which makes runs reproducible.
+type eventKey struct {
+	at  Time
+	seq uint64
+	ref uint32
+}
 
-// peek returns the earliest event without removing it, or nil if empty.
-func (h *eventHeap) peek() *event {
-	if len(h.evs) == 0 {
-		return nil
+// before reports whether a fires before b: the borrow out of the 128-bit
+// subtraction (a.at, a.seq) − (b.at, b.seq), with no data-dependent branch.
+func before(a, b eventKey) bool {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow != 0
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return h.evs[0]
+	return 0
 }
 
-// push inserts ev, sifting it up to its (at, seq) position.
-func (h *eventHeap) push(ev *event) {
-	h.evs = append(h.evs, ev)
-	i := len(h.evs) - 1
+// eventHeap is a 4-ary min-heap of keys. The wide node halves the depth of
+// a binary heap, and the monomorphic methods avoid container/heap's
+// interface boxing on every push and pop.
+type eventHeap []eventKey
+
+// push inserts k, sifting it up to its (at, seq) position.
+func (h *eventHeap) push(k eventKey) {
+	q := append(*h, k)
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !eventLess(h.evs[i], h.evs[parent]) {
+		if !before(k, q[parent]) {
 			break
 		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = k
+	*h = q
 }
 
-// popMin removes and returns the earliest event (cancelled or not), or nil if
-// the heap is empty. Skipping cancelled events is the engine's job, which
-// also recycles them.
-func (h *eventHeap) popMin() *event {
-	n := len(h.evs)
+// popMin removes and returns the earliest key. The heap must not be empty.
+func (h *eventHeap) popMin() eventKey {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
 	if n == 0 {
-		return nil
+		return top
 	}
-	min := h.evs[0]
-	last := h.evs[n-1]
-	h.evs[n-1] = nil
-	h.evs = h.evs[:n-1]
-	if n--; n > 0 {
-		// Sift last down from the root's hole.
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if eventLess(h.evs[c], h.evs[best]) {
+	// Sift last down from the root's hole.
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		if first+3 < n {
+			// A full node: a branch-free tournament of two pairs. Random
+			// keys would mispredict the loop's compare-and-jump below.
+			lo := first + b2i(before(q[first+1], q[first]))
+			hi := first + 2 + b2i(before(q[first+3], q[first+2]))
+			best = lo + (hi-lo)*b2i(before(q[hi], q[lo]))
+		} else {
+			for c := first + 1; c < n; c++ {
+				if before(q[c], q[best]) {
 					best = c
 				}
 			}
-			if !eventLess(h.evs[best], last) {
-				break
-			}
-			h.evs[i] = h.evs[best]
-			i = best
 		}
-		h.evs[i] = last
+		if !before(q[best], last) {
+			break
+		}
+		q[i] = q[best]
+		i = best
 	}
-	return min
+	q[i] = last
+	return top
 }
 
-// eventRing is the engine's same-timestamp cohort FIFO: events scheduled for
-// the current instant bypass the time-ordered heap entirely and drain
-// in append order. Because the engine assigns seq monotonically, append
-// order IS (at, seq) order for events that share the current timestamp, so
-// the ring preserves the determinism invariant while turning the O(log n)
-// sift per same-time event into an O(1) ring operation.
-type eventRing struct {
-	evs   []*event
+// refRing is the engine's same-instant FIFO: events scheduled for the
+// current instant bypass the heap and drain in append order. Append order
+// is scheduling order, the order events that share a time must fire in, so
+// the ring keeps the determinism invariant while turning a sift per
+// same-time event into O(1) ring operations. Its capacity is a power of
+// two, so wrapping is a mask.
+type refRing struct {
+	refs  []uint32
 	head  int
 	count int
 }
 
-func (r *eventRing) push(ev *event) {
-	if r.count == len(r.evs) {
+func (r *refRing) push(ref uint32) {
+	if r.count == len(r.refs) {
 		r.grow()
 	}
-	r.evs[(r.head+r.count)%len(r.evs)] = ev
+	r.refs[(r.head+r.count)&(len(r.refs)-1)] = ref
 	r.count++
 }
 
-func (r *eventRing) pop() *event {
-	if r.count == 0 {
-		return nil
-	}
-	ev := r.evs[r.head]
-	r.evs[r.head] = nil
-	r.head = (r.head + 1) % len(r.evs)
+// pop removes and returns the oldest ref. The ring must not be empty.
+func (r *refRing) pop() uint32 {
+	ref := r.refs[r.head]
+	r.head = (r.head + 1) & (len(r.refs) - 1)
 	r.count--
-	return ev
+	return ref
 }
 
-func (r *eventRing) grow() {
-	capc := 2 * len(r.evs)
-	if capc < 16 {
-		capc = 16
-	}
-	nb := make([]*event, capc)
+func (r *refRing) grow() {
+	nb := make([]uint32, max(2*len(r.refs), 16))
 	for i := 0; i < r.count; i++ {
-		nb[i] = r.evs[(r.head+i)%len(r.evs)]
+		nb[i] = r.refs[(r.head+i)&(len(r.refs)-1)]
 	}
-	r.evs = nb
+	r.refs = nb
 	r.head = 0
 }

@@ -17,7 +17,7 @@ type procKill struct{}
 // function; they are not safe to call from outside the simulation.
 type Proc struct {
 	e    *Engine
-	id   int
+	ref  uint32 // refProc | spawn index
 	name string
 
 	// The body runs as an iter.Pull coroutine: next transfers control into
@@ -44,7 +44,7 @@ type Proc struct {
 // Spawn creates a process named name running fn, starting at the current
 // simulated time. fn receives the Proc as its scheduling handle.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, id: len(e.procs), name: name}
+	p := &Proc{e: e, ref: newRef(refProc, len(e.procs), "processes"), name: name}
 	e.procs = append(e.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -61,7 +61,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	e.scheduleProc(e.now, p)
+	e.schedule(e.now, p.ref)
 	return p
 }
 
@@ -74,7 +74,7 @@ func (e *Engine) SpawnSeeded(name string, seed int64, fn func(*Proc)) *Proc {
 }
 
 // ID returns the process's spawn index.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.ref & refIndex) }
 
 // Name returns the process's name.
 func (p *Proc) Name() string { return p.name }
@@ -116,7 +116,7 @@ func (p *Proc) blockOn(reason string) {
 // Advance suspends the process for d cycles of simulated time.
 func (p *Proc) Advance(d Time) {
 	p.checkCurrent("Advance")
-	p.e.scheduleProc(p.e.now+d, p)
+	p.e.schedule(p.e.now+d, p.ref)
 	p.block()
 }
 

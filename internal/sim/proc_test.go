@@ -23,7 +23,6 @@ const (
 	opFire                    // sig.Fire
 	opFireAfter               // sig.FireAfter(d)
 	opTimer                   // engine callback d cycles from now
-	opGhost                   // engine callback d cycles from now, cancelled at once
 )
 
 type scriptOp struct {
@@ -43,8 +42,7 @@ type schedule struct {
 
 // randomSchedule draws a schedule heavy in the cases where the two process
 // kinds could come apart: zero-length sleeps, several processes waking at the
-// same instant, wake-ups racing timers and deliveries, and cancelled events
-// sitting at the queue's front.
+// same instant, and wake-ups racing timers and deliveries.
 func randomSchedule(rng *rand.Rand) schedule {
 	s := schedule{chans: 1 + rng.Intn(3), sigs: 1 + rng.Intn(2)}
 	procs := 1 + rng.Intn(5)
@@ -58,10 +56,8 @@ func randomSchedule(rng *rand.Rand) schedule {
 			switch r := rng.Intn(20); {
 			case r < 9:
 				op.kind = opSleep
-			case r < 11:
-				op.kind = opTimer
 			case r < 14:
-				op.kind = opGhost
+				op.kind = opTimer
 			case r < 15:
 				op.kind, op.obj = opWait, rng.Intn(s.sigs)
 			case r < 16:
@@ -151,9 +147,6 @@ func runSchedule(s schedule, asSteps, observe bool) outcome {
 		case opTimer:
 			logf("p%d/%d timer +%d", id, pc, op.d)
 			e.After(op.d, func() { logf("timer of p%d/%d", id, pc) })
-		case opGhost:
-			logf("p%d/%d ghost +%d", id, pc, op.d)
-			e.schedule(e.now+op.d, func() { logf("ghost of p%d/%d fired", id, pc) }).Cancel()
 		}
 	}
 	for id, ops := range s.scripts {

@@ -58,7 +58,7 @@ func (s *Server) Uses() uint64 { return s.uses }
 type Gate struct {
 	e       *Engine
 	free    int
-	waiters []*Proc
+	waiters []uint32 // refs of blocked processes, FIFO
 }
 
 // NewGate creates a gate with capacity cap.
@@ -73,7 +73,7 @@ func (e *Engine) NewGate(cap int) *Gate {
 func (g *Gate) Acquire(p *Proc) {
 	p.checkCurrent("Gate.Acquire")
 	for g.free == 0 {
-		g.waiters = append(g.waiters, p)
+		g.waiters = append(g.waiters, p.ref)
 		p.blockOn("gate acquire")
 	}
 	g.free--
@@ -83,9 +83,7 @@ func (g *Gate) Acquire(p *Proc) {
 func (g *Gate) Release() {
 	g.free++
 	if len(g.waiters) > 0 {
-		w := g.waiters[0]
-		g.waiters = g.waiters[1:]
-		g.e.scheduleProc(g.e.now, w)
+		g.e.schedule(g.e.now, popFront(&g.waiters))
 	}
 }
 

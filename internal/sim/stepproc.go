@@ -48,7 +48,7 @@ type StepFn func(*StepProc) Status
 // results. The differential tests in internal/experiments pin this.
 type StepProc struct {
 	e    *Engine
-	id   int
+	ref  uint32 // refStep | spawn index
 	name string
 	step StepFn
 	rng  *rand.Rand
@@ -70,9 +70,9 @@ type StepProc struct {
 // is fn, first stepped at the current simulated time. It occupies the same
 // (time, seq) slot a Spawn at the same point would.
 func (e *Engine) SpawnStep(name string, fn StepFn) *StepProc {
-	sp := &StepProc{e: e, id: len(e.steps), name: name, step: fn}
+	sp := &StepProc{e: e, ref: newRef(refStep, len(e.steps), "state-machine processes"), name: name, step: fn}
 	e.steps = append(e.steps, sp)
-	e.scheduleStep(e.now, sp)
+	e.schedule(e.now, sp.ref)
 	return sp
 }
 
@@ -85,7 +85,7 @@ func (e *Engine) SpawnStepSeeded(name string, seed int64, fn StepFn) *StepProc {
 }
 
 // ID returns the process's spawn index among state-machine processes.
-func (sp *StepProc) ID() int { return sp.id }
+func (sp *StepProc) ID() int { return int(sp.ref & refIndex) }
 
 // Name returns the process's name.
 func (sp *StepProc) Name() string { return sp.name }
@@ -147,7 +147,7 @@ func (e *Engine) runStep(sp *StepProc) {
 	case StepSleeping:
 		// Scheduling after the step body ran mirrors Advance consuming its
 		// event seq after everything the process did earlier in the slot.
-		e.scheduleStep(sp.wakeAt, sp)
+		e.schedule(sp.wakeAt, sp.ref)
 	case StepWaiting:
 		// Registered with a primitive; it will wake the process.
 	}
