@@ -1,10 +1,84 @@
 package bsp
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// TestSyncPinned pins the superstep exchange on raw regions: simulated
+// cycles, traffic, the SHA-256 of the metrics and trace JSON, and the final
+// region contents of one fixed program mixing contiguous and indexed puts
+// and gets, self and remote accesses, several writers to one word, and an
+// empty Sync. qsmlib's TestSyncPinned covers the QSM emulation.
+func TestSyncPinned(t *testing.T) {
+	rec := obs.New(obs.Config{Metrics: true, Trace: true})
+	m := New(4, Options{Seed: 31, Obs: rec})
+	err := m.Run(func(pc *Proc) {
+		me, p := pc.ID(), pc.P()
+		r := pc.Register("r", 16)
+		out := pc.Register("out", 1)
+		pc.Sync()
+
+		pc.Put((me+1)%p, r, me, []int64{10, 11, 12, 13, 14, 15, 16, int64(17 + me)})
+		pc.Put(me, r, 8, []int64{int64(20 + me), 21, 22, 23})
+		pc.PutIndexed((me+2)%p, r, []int{15, 3, 9}, []int64{30, 31, int64(32 + me)})
+		pc.PutIndexed(me, r, []int{14, 13}, []int64{40, 41})
+		pc.Put(0, r, 12, []int64{int64(-me)}) // every processor writes word 12 of processor 0
+		pc.Sync()
+
+		got := make([]int64, 6)
+		pc.Get((me+3)%p, r, 2, got)
+		gi := []int{12, 0, 12, 7}
+		gv := make([]int64, len(gi))
+		pc.GetIndexed(0, r, gi, gv)
+		sv := make([]int64, 2)
+		pc.GetIndexed(me, r, []int{9, 1}, sv)
+		pc.Put((me+1)%p, r, 0, []int64{7}) // the gets above still see the old word
+		pc.Compute(cpu.BlockSum(64))
+		pc.Sync()
+		pc.Sync() // empty
+
+		var d int64
+		for _, v := range append(append(got, gv...), sv...) {
+			d = 31*d + v
+		}
+		pc.WriteLocal(out, 0, []int64{d})
+		pc.Sync()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mb, tb bytes.Buffer
+	if err := rec.WriteMetricsJSON(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteTraceJSON(&tb); err != nil {
+		t.Fatal(err)
+	}
+	var data [][]int64
+	for proc := 0; proc < 4; proc++ {
+		data = append(data, m.RegionData("r", proc), m.RegionData("out", proc))
+	}
+	sum := func(b []byte) string { h := sha256.Sum256(b); return hex.EncodeToString(h[:]) }
+	s := m.RunStats()
+	got := fmt.Sprintf("total=%d comm=%v msgs=%d bytes=%d\nmetrics=%s\ntrace=%s\ndata=%s",
+		s.TotalCycles, s.CommCycles, s.MsgsSent, s.BytesSent,
+		sum(mb.Bytes()), sum(tb.Bytes()), sum([]byte(fmt.Sprint(data))))
+	want := `total=104915 comm=[102118 103410 104110 104810] msgs=114 bytes=6016
+metrics=935568ed47cb1ba379c1a157b65a21f36e1fc3112556184636d7d73ccf0582b5
+trace=7ab7a0581cccc4018d0fd7b3e43b7d46b00c5a209cdb39cf022db5f639aecc57
+data=9cbd01694575029c7a34f1fa8818d3f4bae59dcc5c7afe8f208653658e9c82bb`
+	if got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
+}
 
 func TestPutDelivers(t *testing.T) {
 	m := New(4, Options{Seed: 1})

@@ -1,13 +1,133 @@
 package qsmlib
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// pinProgram is one fixed mixed superstep program: contiguous and indexed
+// puts and gets, self and remote accesses, two writers to one word, and an
+// empty Sync. Each node ends by storing a digest of what it read in "out".
+func pinProgram(ctx core.Ctx) {
+	me, p := ctx.ID(), ctx.P()
+	a := ctx.Register("a", 64)
+	out := ctx.Register("out", p)
+	ctx.Sync()
+
+	vals := make([]int64, 20)
+	for i := range vals {
+		vals[i] = int64(1000*me + i)
+	}
+	ctx.Put(a, (16*me+6)%44, vals) // spans two owners, self included
+	ctx.PutIndexed(a, []int{63 - me, 2*me + 1, 17, 40 + me}, []int64{1, 2, 3, int64(4 + me)})
+	ctx.Put(a, 33, []int64{int64(-me)}) // every node writes word 33
+	ctx.Sync()
+
+	got := make([]int64, 24)
+	ctx.Get(a, 30-me, got)
+	gi := []int{5, 62, me, 33, 5, 48 + me}
+	gv := make([]int64, len(gi))
+	ctx.GetIndexed(a, gi, gv)
+	ctx.Put(a, me, []int64{7}) // the gets above still see the old word
+	ctx.Compute(cpu.BlockSum(64))
+	ctx.Sync()
+	ctx.Sync() // empty
+
+	var d int64
+	for _, v := range append(got, gv...) {
+		d = 31*d + v
+	}
+	ctx.Put(out, me, []int64{d})
+	ctx.Sync()
+}
+
+// syncPin is what a pin test compares: a run's cycle and traffic counts and
+// the SHA-256 of its metrics JSON, its trace JSON and its final array
+// contents.
+type syncPin struct {
+	Total          sim.Time
+	Comm           []sim.Time
+	Msgs, Bytes    uint64
+	Metrics, Trace string
+	Data           string
+}
+
+func newSyncPin(t *testing.T, total sim.Time, comm []sim.Time, msgs, bytesSent uint64, rec *obs.Recorder, arrays ...[]int64) syncPin {
+	t.Helper()
+	var mb, tb bytes.Buffer
+	if err := rec.WriteMetricsJSON(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteTraceJSON(&tb); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(b []byte) string { h := sha256.Sum256(b); return hex.EncodeToString(h[:]) }
+	return syncPin{Total: total, Comm: comm, Msgs: msgs, Bytes: bytesSent,
+		Metrics: sum(mb.Bytes()), Trace: sum(tb.Bytes()), Data: sum([]byte(fmt.Sprint(arrays)))}
+}
+
+// TestSyncPinned pins the superstep exchange's simulated cycles, traffic,
+// metrics, trace and results: the library under each exchange order and
+// barrier, and the same program through the QSM-on-BSP emulation with a
+// hashed layout.
+func TestSyncPinned(t *testing.T) {
+	native := func(naive, tree bool) func(*testing.T, *obs.Recorder) syncPin {
+		return func(t *testing.T, rec *obs.Recorder) syncPin {
+			m := New(4, Options{Seed: 31, NaiveExchange: naive, TreeBarrier: tree, Obs: rec})
+			if err := m.Run(pinProgram); err != nil {
+				t.Fatal(err)
+			}
+			s := m.RunStats()
+			return newSyncPin(t, s.TotalCycles, s.CommCycles, s.MsgsSent, s.BytesSent, rec, m.Array("a"), m.Array("out"))
+		}
+	}
+	emulated := func(t *testing.T, rec *obs.Recorder) syncPin {
+		m := bsp.NewQSM(4, bsp.Options{Seed: 31, Obs: rec}, core.LayoutHashed)
+		if err := m.Run(pinProgram); err != nil {
+			t.Fatal(err)
+		}
+		s := m.RunStats()
+		return newSyncPin(t, s.TotalCycles, s.CommCycles, s.MsgsSent, s.BytesSent, rec, m.Array("a"), m.Array("out"))
+	}
+	const data = "3fd7bde2119ae3918de6fa221adb3074fe3710ab0267d9fe08dad7da33063592"
+	for _, c := range []struct {
+		name string
+		run  func(*testing.T, *obs.Recorder) syncPin
+		want syncPin
+	}{
+		{"staggered/central", native(false, false), syncPin{Total: 114639, Comm: []sim.Time{111862, 113154, 113854, 114554}, Msgs: 126, Bytes: 7600,
+			Metrics: "7305011a3f6df0143c3ad1a34e942259b56fae55bbdd0699cba51d8bb347ad0d",
+			Trace:   "d04a796ffdfa3005dc1a2e5d2c5cd315418ffe89f6739e4d09d614d97aec5190", Data: data}},
+		{"staggered/tree", native(false, true), syncPin{Total: 103039, Comm: []sim.Time{102954, 102954, 102954, 102778}, Msgs: 136, Bytes: 7920,
+			Metrics: "6aaa4ffe0fe0b74387ec9aa1de6b1829ce6578c438c77b6dc7d5c2f41892e0df",
+			Trace:   "cea432ac45698924d70af97254af324be979e4877fbb92327d3f4e55140d671f", Data: data}},
+		{"naive/central", native(true, false), syncPin{Total: 115607, Comm: []sim.Time{112830, 114122, 114822, 115522}, Msgs: 126, Bytes: 7600,
+			Metrics: "dfbb771f0450956a7e81a36779c69eb31f138ee842bb7af3938e3bf13c054b14",
+			Trace:   "041b0232dd39450ea3ea20466a2c8b7c33a401a79ff425ab5919f7da8a95a432", Data: data}},
+		{"naive/tree", native(true, true), syncPin{Total: 108747, Comm: []sim.Time{106670, 107374, 108662, 106194}, Msgs: 136, Bytes: 7920,
+			Metrics: "06b7f89cf780208adc08d348733e66c099c4e0c8072754f5161e4b0fb266ef54",
+			Trace:   "a70c4d4152e9f7ac886c5b15e2ee7f2685a014d6cc646680247dca33f035d359", Data: data}},
+		{"bsp-emulation/hashed", emulated, syncPin{Total: 129947, Comm: []sim.Time{127170, 128462, 129162, 129862}, Msgs: 130, Bytes: 9216,
+			Metrics: "807f19f1705b009dbb0de40861560a85b639e0c2b6b368cbeec7fc5ba4a97927",
+			Trace:   "e6f3811f08768f39ef6112301aa5d2869f822399551f2cfaa5f056c8019ae4eb", Data: data}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := c.run(t, obs.New(obs.Config{Metrics: true, Trace: true}))
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", c.want) {
+				t.Errorf("got  %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	for _, layout := range []core.LayoutKind{core.LayoutBlocked, core.LayoutCyclic, core.LayoutHashed} {
