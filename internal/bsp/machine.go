@@ -7,146 +7,67 @@
 // one-sided Put and Get operations addressed to a (processor, region,
 // offset) triple. Operations enqueue locally and take effect at the end of
 // the superstep (Sync), which also synchronizes all processors — the model
-// of Valiant's BSP and of BSPlib.
+// of Valiant's BSP and of BSPlib. Sync is the superstep exchange qsmlib ends
+// its phases with (msg.Exchange); here it moves region words.
 //
-// The QSMOnBSP adapter (qsmctx.go) realises the Gibbons-Matias-Ramachandran
-// bridging result experimentally: QSM shared arrays are distributed over
-// the BSP processors' regions (by blocked or hashed maps), and every QSM
-// operation translates to BSP puts and gets. The paper's algorithms run
-// unchanged through it; the ext-emulation experiment measures the overhead.
+// QSMMachine (qsmctx.go) realises the Gibbons-Matias-Ramachandran bridging
+// result experimentally: QSM shared arrays are distributed over the BSP
+// processors' regions (by blocked or hashed maps), and every QSM operation
+// translates to BSP puts and gets. The paper's algorithms run unchanged
+// through it; the ext-emulation experiment measures the overhead.
 package bsp
 
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Options configure a simulated BSP machine.
 type Options struct {
-	Net  machine.NetParams // zero value uses machine.DefaultNet
-	SW   msg.SWParams      // zero value uses msg.DefaultSW
 	Seed int64
-	// TreeBarrier selects the dissemination barrier for superstep ends.
-	TreeBarrier bool
-	// Model builds each node's processor model; nil uses Table 2 analytic.
-	Model func(id int) cpu.Model
 	// Obs attaches an observability recorder to the machine, the messaging
 	// layer, and the superstep protocol. Nil costs nothing.
 	Obs *obs.Recorder
 }
-
-// tracePid is the trace process id bsp supersteps render under; qsmlib uses
-// pid 0, so a recorder shared by both (as in ext1) keeps them separate.
-const tracePid = 1
 
 // Region names a registered per-processor memory area.
 type Region int
 
 // Machine is a p-processor simulated BSP machine.
 type Machine struct {
-	MP   *machine.Multiprocessor
+	*msg.Library
 	opts Options
 
 	regions []*region
 	byName  map[string]Region
-	procs   []*Proc
 }
 
 // region is a named area with a private copy on every processor.
 type region struct {
 	name string
 	size int
-	data [][]int64 // per processor
+	data [][]int64 // per processor; nil once dropped
 }
 
 // New builds a p-processor BSP machine.
 func New(p int, opts Options) *Machine {
-	if opts.Net == (machine.NetParams{}) {
-		opts.Net = machine.DefaultNet()
-	}
-	if opts.SW == (msg.SWParams{}) {
-		opts.SW = msg.DefaultSW()
-	}
 	m := &Machine{opts: opts, byName: map[string]Region{}}
-	m.MP = machine.New(p, opts.Net, opts.Model)
-	if opts.Obs != nil {
-		m.MP.Observe(opts.Obs)
-	}
+	m.Library = msg.NewLibrary(p, machine.NetParams{}, nil, msg.Config{
+		Words: func(proc, r int) []int64 { return m.reg(Region(r)).data[proc] },
+		// Pid 1: qsmlib renders under pid 0, so a recorder shared by both
+		// (as in ext1) keeps them apart.
+		Names: msg.Names{Subsystem: "bsp", Step: "step", Thread: "proc", Pid: 1},
+		Obs:   opts.Obs,
+	})
 	return m
 }
-
-// P returns the processor count.
-func (m *Machine) P() int { return m.MP.P() }
 
 // Run executes prog on every processor and drives the simulation.
 func (m *Machine) Run(prog func(*Proc)) error {
-	m.procs = make([]*Proc, m.P())
-	if rec := m.opts.Obs; rec.Tracing() {
-		rec.NamePid(tracePid, "bsp")
-		for i := 0; i < m.P(); i++ {
-			rec.NameTid(tracePid, i, fmt.Sprintf("proc%d", i))
-		}
-	}
-	err := m.MP.Run(m.opts.Seed, func(n *machine.Node) {
-		pc := newProc(m, n)
-		m.procs[n.ID()] = pc
-		prog(pc)
-	})
-	if rec := m.opts.Obs; rec != nil {
-		for _, pc := range m.procs {
-			if pc == nil {
-				continue
-			}
-			rec.Counter("bsp", "comm_cycles", "").Add(uint64(pc.commCycles))
-		}
-		for _, n := range m.MP.Nodes {
-			rec.Counter("bsp", "comp_cycles", "").Add(uint64(n.CompCycles))
-		}
-	}
-	return err
-}
-
-// Stats summarise a completed run.
-type Stats struct {
-	TotalCycles sim.Time
-	CommCycles  []sim.Time
-	CompCycles  []sim.Time
-	MsgsSent    uint64
-	BytesSent   uint64
-}
-
-// MaxComm returns the bottleneck processor's communication time.
-func (s Stats) MaxComm() sim.Time {
-	var m sim.Time
-	for _, c := range s.CommCycles {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// RunStats returns the measurements of the last Run.
-func (m *Machine) RunStats() Stats {
-	s := Stats{TotalCycles: m.MP.E.Now()}
-	for _, n := range m.MP.Nodes {
-		s.MsgsSent += n.MsgsSent
-		s.BytesSent += n.BytesSent
-		s.CompCycles = append(s.CompCycles, n.CompCycles)
-	}
-	for _, pc := range m.procs {
-		if pc == nil {
-			s.CommCycles = append(s.CommCycles, 0)
-			continue
-		}
-		s.CommCycles = append(s.CommCycles, pc.commCycles)
-	}
-	return s
+	return m.Library.Run(m.opts.Seed, func(x *msg.Exchange) { prog(&Proc{m: m, x: x}) })
 }
 
 // RegionData returns processor proc's copy of a region after Run, or nil.
@@ -175,9 +96,20 @@ func (m *Machine) register(name string, size int) Region {
 	return r
 }
 
+// drop releases every processor's copy of a region and its name.
+func (m *Machine) drop(r Region) {
+	reg := m.reg(r)
+	reg.data = nil
+	delete(m.byName, reg.name)
+}
+
 func (m *Machine) reg(r Region) *region {
 	if r < 0 || int(r) >= len(m.regions) {
 		panic(fmt.Sprintf("bsp: invalid region %d", r))
 	}
-	return m.regions[r]
+	reg := m.regions[r]
+	if reg.data == nil {
+		panic(fmt.Sprintf("bsp: region %q used after it was dropped", reg.name))
+	}
+	return reg
 }

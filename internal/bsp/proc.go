@@ -3,117 +3,28 @@ package bsp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/cpu"
-	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Wire message types of the superstep protocol (the same plan / data /
-// reply structure as the QSM library's sync, with explicit destinations).
-
-type planMsg struct {
-	putWords int
-	getReqs  int
-}
-
-type putSeg struct {
-	reg  Region
-	off  int   // contiguous start; -1 for indexed
-	idx  []int // nil for contiguous
-	vals []int64
-}
-
-type getReq struct {
-	reqID int
-	reg   Region
-	off   int // contiguous start; -1 for indexed
-	n     int
-	idx   []int
-}
-
-type stepMsg struct {
-	puts []putSeg
-	reqs []getReq
-}
-
-type replyItem struct {
-	reqID int
-	vals  []int64
-}
-
-type replyMsg struct {
-	items []replyItem
-}
-
-type pendingGet struct {
-	dst []int64
-}
-
-// Software cost constants, matching the QSM library's.
-const (
-	enqueueFixed   = 16
-	enqueuePerWord = 2
-	localPerWord   = 4
-	localPerSeg    = 16
-)
-
-// Proc is one BSP processor.
+// Proc is one BSP processor: it checks and charges each call and queues it
+// on the processor's superstep exchange.
 type Proc struct {
-	m    *Machine
-	node *machine.Node
-	comm *msg.Comm
-	gen  int
-
-	outPuts  [][]putSeg
-	outReqs  [][]getReq
-	selfPuts []putSeg
-	selfReqs []getReq
-	pending  []pendingGet
-
-	commCycles sim.Time
-
-	// Observability: nil-safe handles plus the last Sync's end time, which
-	// delimits the compute span preceding the next Sync.
-	rec           *obs.Recorder
-	obsSyncs      *obs.Counter
-	obsSyncCycles *obs.Histogram
-	obsPutWords   *obs.Histogram
-	obsGetWords   *obs.Histogram
-	lastSyncEnd   sim.Time
-}
-
-func newProc(m *Machine, n *machine.Node) *Proc {
-	p := m.P()
-	pc := &Proc{
-		m:       m,
-		node:    n,
-		comm:    msg.NewComm(n, m.opts.SW),
-		outPuts: make([][]putSeg, p),
-		outReqs: make([][]getReq, p),
-	}
-	if rec := m.opts.Obs; rec != nil {
-		pc.rec = rec
-		pc.comm.Observe(rec)
-		pc.obsSyncs = rec.Counter("bsp", "syncs", "")
-		pc.obsSyncCycles = rec.Histogram("bsp", "sync_cycles", "", obs.ExpBuckets(1024, 2, 16))
-		pc.obsPutWords = rec.Histogram("bsp", "step_put_words", "", obs.ExpBuckets(1, 4, 12))
-		pc.obsGetWords = rec.Histogram("bsp", "step_get_words", "", obs.ExpBuckets(1, 4, 12))
-	}
-	return pc
+	m *Machine
+	x *msg.Exchange
 }
 
 // ID returns this processor's index.
-func (pc *Proc) ID() int { return pc.node.ID() }
+func (pc *Proc) ID() int { return pc.x.ID() }
 
 // P returns the machine size.
 func (pc *Proc) P() int { return pc.m.P() }
 
 // Rand returns the processor's deterministic random source.
-func (pc *Proc) Rand() *rand.Rand { return pc.node.Proc().Rand() }
+func (pc *Proc) Rand() *rand.Rand { return pc.x.Node.Proc().Rand() }
 
 // Register allocates (or resolves) a named region of size words, one
 // private copy per processor. Collective; Sync before use.
@@ -122,12 +33,15 @@ func (pc *Proc) Register(name string, size int) Region {
 }
 
 // Compute charges local work to the processor model.
-func (pc *Proc) Compute(b cpu.OpBlock) { pc.node.Compute(b) }
+func (pc *Proc) Compute(b cpu.OpBlock) { pc.x.Node.Compute(b) }
 
-// busyComm charges local library work, counted as communication time.
-func (pc *Proc) busyComm(cycles sim.Time) {
-	pc.node.Busy(cycles)
-	pc.commCycles += cycles
+// enqueue checks a call addressed to processor dst and charges the library
+// work of queueing its n words.
+func (pc *Proc) enqueue(dst, n int) {
+	if dst < 0 || dst >= pc.P() {
+		panic(fmt.Sprintf("bsp: invalid processor %d", dst))
+	}
+	pc.x.Busy(msg.EnqueueFixed + sim.Time(msg.EnqueuePerWord*n))
 }
 
 func (pc *Proc) bounds(r *region, off, n int) {
@@ -136,9 +50,11 @@ func (pc *Proc) bounds(r *region, off, n int) {
 	}
 }
 
-func (pc *Proc) checkDst(dst int) {
-	if dst < 0 || dst >= pc.P() {
-		panic(fmt.Sprintf("bsp: invalid processor %d", dst))
+func (pc *Proc) checkIdx(r *region, idx []int) {
+	for _, ix := range idx {
+		if ix < 0 || ix >= r.size {
+			panic(fmt.Sprintf("bsp: index %d out of range for %q (size %d)", ix, r.name, r.size))
+		}
 	}
 }
 
@@ -148,16 +64,9 @@ func (pc *Proc) Put(dst int, r Region, off int, vals []int64) {
 	if len(vals) == 0 {
 		return
 	}
-	pc.checkDst(dst)
-	reg := pc.m.reg(r)
-	pc.bounds(reg, off, len(vals))
-	pc.busyComm(enqueueFixed + sim.Time(enqueuePerWord*len(vals)))
-	seg := putSeg{reg: r, off: off, vals: append([]int64(nil), vals...)}
-	if dst == pc.ID() {
-		pc.selfPuts = append(pc.selfPuts, seg)
-		return
-	}
-	pc.outPuts[dst] = append(pc.outPuts[dst], seg)
+	pc.bounds(pc.m.reg(r), off, len(vals))
+	pc.enqueue(dst, len(vals))
+	pc.x.Put(dst, int(r), off, slices.Clone(vals))
 }
 
 // PutIndexed enqueues scattered writes into dst's copy of r.
@@ -168,22 +77,14 @@ func (pc *Proc) PutIndexed(dst int, r Region, idx []int, vals []int64) {
 	if len(idx) == 0 {
 		return
 	}
-	pc.checkDst(dst)
-	reg := pc.m.reg(r)
-	for _, ix := range idx {
-		if ix < 0 || ix >= reg.size {
-			panic(fmt.Sprintf("bsp: index %d out of range for %q (size %d)", ix, reg.name, reg.size))
-		}
-	}
-	pc.busyComm(enqueueFixed + sim.Time(enqueuePerWord*len(vals)))
-	seg := putSeg{reg: r, off: -1,
-		idx:  append([]int(nil), idx...),
-		vals: append([]int64(nil), vals...)}
-	if dst == pc.ID() {
-		pc.selfPuts = append(pc.selfPuts, seg)
-		return
-	}
-	pc.outPuts[dst] = append(pc.outPuts[dst], seg)
+	pc.putIndexed(dst, r, slices.Clone(idx), slices.Clone(vals))
+}
+
+// putIndexed is PutIndexed on slices the exchange may keep.
+func (pc *Proc) putIndexed(dst int, r Region, idx []int, vals []int64) {
+	pc.checkIdx(pc.m.reg(r), idx)
+	pc.enqueue(dst, len(vals))
+	pc.x.PutIndexed(dst, int(r), idx, vals)
 }
 
 // Get enqueues a read of src's copy of r into dstBuf; the values are those
@@ -192,11 +93,9 @@ func (pc *Proc) Get(src int, r Region, off int, dstBuf []int64) {
 	if len(dstBuf) == 0 {
 		return
 	}
-	pc.checkDst(src)
-	reg := pc.m.reg(r)
-	pc.bounds(reg, off, len(dstBuf))
-	pc.busyComm(enqueueFixed + sim.Time(enqueuePerWord*len(dstBuf)))
-	pc.addGet(src, getReq{reg: r, off: off, n: len(dstBuf)}, pendingGet{dst: dstBuf})
+	pc.bounds(pc.m.reg(r), off, len(dstBuf))
+	pc.enqueue(src, len(dstBuf))
+	pc.x.Get(src, int(r), off, dstBuf)
 }
 
 // GetIndexed enqueues scattered reads from src's copy of r.
@@ -207,25 +106,15 @@ func (pc *Proc) GetIndexed(src int, r Region, idx []int, dstBuf []int64) {
 	if len(idx) == 0 {
 		return
 	}
-	pc.checkDst(src)
-	reg := pc.m.reg(r)
-	for _, ix := range idx {
-		if ix < 0 || ix >= reg.size {
-			panic(fmt.Sprintf("bsp: index %d out of range for %q (size %d)", ix, reg.name, reg.size))
-		}
-	}
-	pc.busyComm(enqueueFixed + sim.Time(enqueuePerWord*len(dstBuf)))
-	pc.addGet(src, getReq{reg: r, off: -1, idx: append([]int(nil), idx...)}, pendingGet{dst: dstBuf})
+	pc.getIndexed(src, r, slices.Clone(idx), dstBuf, nil)
 }
 
-func (pc *Proc) addGet(src int, rq getReq, pg pendingGet) {
-	rq.reqID = len(pc.pending)
-	pc.pending = append(pc.pending, pg)
-	if src == pc.ID() {
-		pc.selfReqs = append(pc.selfReqs, rq)
-		return
-	}
-	pc.outReqs[src] = append(pc.outReqs[src], rq)
+// getIndexed is GetIndexed on an index slice the exchange may keep: word
+// idx[k] lands in dst[pos[k]], or in dst[k] when pos is nil.
+func (pc *Proc) getIndexed(src int, r Region, idx []int, dst []int64, pos []int) {
+	pc.checkIdx(pc.m.reg(r), idx)
+	pc.enqueue(src, len(idx))
+	pc.x.GetIndexed(src, int(r), idx, dst, pos)
 }
 
 // ReadLocal reads this processor's own copy of r immediately.
@@ -233,7 +122,7 @@ func (pc *Proc) ReadLocal(r Region, off int, dst []int64) {
 	reg := pc.m.reg(r)
 	pc.bounds(reg, off, len(dst))
 	copy(dst, reg.data[pc.ID()][off:off+len(dst)])
-	pc.node.Busy(sim.Time(localPerSeg + localPerWord*len(dst)))
+	pc.x.Node.Busy(sim.Time(msg.LocalPerSeg + msg.LocalPerWord*len(dst)))
 }
 
 // WriteLocal writes this processor's own copy of r immediately.
@@ -241,204 +130,10 @@ func (pc *Proc) WriteLocal(r Region, off int, vals []int64) {
 	reg := pc.m.reg(r)
 	pc.bounds(reg, off, len(vals))
 	copy(reg.data[pc.ID()][off:off+len(vals)], vals)
-	pc.node.Busy(sim.Time(localPerSeg + localPerWord*len(vals)))
+	pc.x.Node.Busy(sim.Time(msg.LocalPerSeg + msg.LocalPerWord*len(vals)))
 }
 
-// gather reads a request's words from this processor's copy (pre-commit).
-func (pc *Proc) gather(rq getReq) []int64 {
-	data := pc.m.reg(rq.reg).data[pc.ID()]
-	if rq.idx == nil {
-		vals := make([]int64, rq.n)
-		copy(vals, data[rq.off:rq.off+rq.n])
-		return vals
-	}
-	vals := make([]int64, len(rq.idx))
-	for i, ix := range rq.idx {
-		vals[i] = data[ix]
-	}
-	return vals
-}
-
-func words(segs []putSeg) int {
-	w := 0
-	for _, s := range segs {
-		w += len(s.vals)
-	}
-	return w
-}
-
-func smBytes(sm *stepMsg) int {
-	b := 0
-	for _, s := range sm.puts {
-		b += 16 + 8*len(s.vals)
-		if s.idx != nil {
-			b += 8 * len(s.idx)
-		}
-	}
-	for _, r := range sm.reqs {
-		b += 24
-		if r.idx != nil {
-			b += 8 * len(r.idx)
-		}
-	}
-	return b
-}
-
-func replyBytes(rm *replyMsg) int {
-	b := 0
-	for _, it := range rm.items {
-		b += 16 + 8*len(it.vals)
-	}
-	return b
-}
-
-// Sync ends the superstep: plan exchange, staggered data exchange, get
-// replies served from pre-commit state, puts applied in source order, and a
-// barrier.
-func (pc *Proc) Sync() {
-	t0 := pc.node.Now()
-	putWords := words(pc.selfPuts)
-	for _, segs := range pc.outPuts {
-		putWords += words(segs)
-	}
-	getWords := len(pc.pending)
-	p, me := pc.P(), pc.ID()
-	gen := pc.gen
-	pc.gen++
-	tagPlan, tagData, tagReply := 3*gen, 3*gen+1, 3*gen+2
-
-	for r := 1; r < p; r++ {
-		peer := (me + r) % p
-		pm := planMsg{putWords: words(pc.outPuts[peer]), getReqs: len(pc.outReqs[peer])}
-		pc.comm.Send(peer, tagPlan, 16, pm)
-	}
-	expectData := make([]bool, p)
-	for r := 1; r < p; r++ {
-		peer := (me - r + p) % p
-		pm := pc.comm.Recv(peer, tagPlan).Payload.(planMsg)
-		expectData[peer] = pm.putWords > 0 || pm.getReqs > 0
-	}
-
-	for r := 1; r < p; r++ {
-		peer := (me + r) % p
-		if len(pc.outPuts[peer]) == 0 && len(pc.outReqs[peer]) == 0 {
-			continue
-		}
-		sm := &stepMsg{puts: pc.outPuts[peer], reqs: pc.outReqs[peer]}
-		pc.comm.Send(peer, tagData, smBytes(sm), sm)
-	}
-
-	type incoming struct {
-		src  int
-		puts []putSeg
-	}
-	var in []incoming
-	for r := 1; r < p; r++ {
-		peer := (me - r + p) % p
-		if !expectData[peer] {
-			continue
-		}
-		sm := pc.comm.Recv(peer, tagData).Payload.(*stepMsg)
-		if len(sm.puts) > 0 {
-			in = append(in, incoming{src: peer, puts: sm.puts})
-		}
-		if len(sm.reqs) > 0 {
-			rm := &replyMsg{}
-			w := 0
-			for _, rq := range sm.reqs {
-				vals := pc.gather(rq)
-				w += len(vals)
-				rm.items = append(rm.items, replyItem{reqID: rq.reqID, vals: vals})
-			}
-			pc.node.Busy(sim.Time(localPerSeg*len(sm.reqs) + localPerWord*w))
-			pc.comm.Send(peer, tagReply, replyBytes(rm), rm)
-		}
-	}
-
-	for r := 1; r < p; r++ {
-		peer := (me + r) % p
-		if len(pc.outReqs[peer]) == 0 {
-			continue
-		}
-		rm := pc.comm.Recv(peer, tagReply).Payload.(*replyMsg)
-		w := 0
-		for _, it := range rm.items {
-			copy(pc.pending[it.reqID].dst, it.vals)
-			w += len(it.vals)
-		}
-		pc.node.Busy(sim.Time(localPerSeg*len(rm.items) + localPerWord*w))
-	}
-
-	if len(pc.selfReqs) > 0 {
-		w := 0
-		for _, rq := range pc.selfReqs {
-			vals := pc.gather(rq)
-			copy(pc.pending[rq.reqID].dst, vals)
-			w += len(vals)
-		}
-		pc.node.Busy(sim.Time(localPerSeg*len(pc.selfReqs) + localPerWord*w))
-	}
-
-	// Apply puts into this processor's copies, in source order.
-	sort.Slice(in, func(i, j int) bool { return in[i].src < in[j].src })
-	applied := 0
-	apply := func(segs []putSeg) {
-		for _, s := range segs {
-			data := pc.m.reg(s.reg).data[me]
-			if s.idx == nil {
-				copy(data[s.off:s.off+len(s.vals)], s.vals)
-			} else {
-				for i, ix := range s.idx {
-					data[ix] = s.vals[i]
-				}
-			}
-			applied += len(s.vals)
-		}
-	}
-	ii := 0
-	for src := 0; src < p; src++ {
-		if src == me {
-			apply(pc.selfPuts)
-			continue
-		}
-		if ii < len(in) && in[ii].src == src {
-			apply(in[ii].puts)
-			ii++
-		}
-	}
-	if applied > 0 {
-		pc.node.Busy(sim.Time(localPerWord * applied))
-	}
-
-	for i := range pc.outPuts {
-		pc.outPuts[i] = nil
-		pc.outReqs[i] = nil
-	}
-	pc.selfPuts = nil
-	pc.selfReqs = nil
-	pc.pending = nil
-
-	if pc.m.opts.TreeBarrier {
-		pc.comm.TreeBarrier()
-	} else {
-		pc.comm.Barrier()
-	}
-	pc.commCycles += pc.node.Now() - t0
-
-	end := pc.node.Now()
-	pc.obsSyncs.Inc()
-	pc.obsSyncCycles.Observe(float64(end - t0))
-	pc.obsPutWords.Observe(float64(putWords))
-	pc.obsGetWords.Observe(float64(getWords))
-	if pc.rec.Tracing() {
-		if t0 > pc.lastSyncEnd {
-			pc.rec.Span(tracePid, me, "bsp", "compute", uint64(pc.lastSyncEnd), uint64(t0),
-				obs.Arg{Key: "step", Val: int64(gen)})
-		}
-		pc.rec.Span(tracePid, me, "bsp", fmt.Sprintf("sync %d", gen), uint64(t0), uint64(end),
-			obs.Arg{Key: "step", Val: int64(gen)},
-			obs.Arg{Key: "put_words", Val: int64(putWords)},
-			obs.Arg{Key: "get_words", Val: int64(getWords)})
-	}
-	pc.lastSyncEnd = end
-}
+// Sync ends the superstep with the exchange protocol (see msg.Exchange):
+// gets see the state before any of the superstep's puts, and puts apply in
+// source order.
+func (pc *Proc) Sync() { pc.x.Sync() }

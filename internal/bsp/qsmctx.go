@@ -3,10 +3,10 @@ package bsp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/msg"
 	"repro/internal/stats"
 )
 
@@ -52,7 +52,7 @@ func (qm *QSMMachine) Run(prog core.Program) error {
 }
 
 // RunStats returns the underlying BSP machine's measurements.
-func (qm *QSMMachine) RunStats() Stats { return qm.M.RunStats() }
+func (qm *QSMMachine) RunStats() msg.Stats { return qm.M.RunStats() }
 
 // Array reconstructs a shared array's contents from the distributed
 // regions, for verification after Run. Returns nil if never registered.
@@ -161,17 +161,9 @@ func (qm *QSMMachine) register(name string, n int, spec core.LayoutSpec) core.Ha
 
 // qsmProc adapts a BSP processor to core.Ctx.
 type qsmProc struct {
-	qm     *QSMMachine
-	pc     *Proc
-	fixups []fixup
-}
-
-// fixup scatters a temporary get buffer into the caller's destination after
-// the superstep delivers it.
-type fixup struct {
-	tmp []int64
-	dst []int64
-	pos []int
+	qm      *QSMMachine
+	pc      *Proc
+	byOwner core.ByOwner // scratch of putScattered/getScattered
 }
 
 var _ core.Ctx = (*qsmProc)(nil)
@@ -188,39 +180,26 @@ func (q *qsmProc) RegisterSpec(name string, n int, spec core.LayoutSpec) core.Ha
 	return q.qm.register(name, n, spec)
 }
 
+// Free is collective: the array, and with it every processor's copy of its
+// backing region, is destroyed once every processor has freed it.
 func (q *qsmProc) Free(h core.Handle) {
 	a := q.qm.arr(h)
 	a.frees++
 	if a.frees >= q.P() {
 		a.freed = true
 		delete(q.qm.byName, a.name)
+		q.qm.M.drop(a.reg)
 	}
 }
 
 func (q *qsmProc) Compute(b cpu.OpBlock) { q.pc.Compute(b) }
 
-// group splits global indices by owner into per-owner local slots.
-type ownerGroup struct {
-	slots []int
-	pos   []int // positions in the caller's buffer
-}
-
-func (q *qsmProc) groupByOwner(a *emuArray, idx []int) map[int]*ownerGroup {
-	gs := map[int]*ownerGroup{}
-	for k, i := range idx {
+func (q *qsmProc) checkIdx(a *emuArray, idx []int) {
+	for _, i := range idx {
 		if i < 0 || i >= a.n {
 			panic(fmt.Sprintf("bsp: index %d out of range for QSM array %q (len %d)", i, a.name, a.n))
 		}
-		o := a.lay.OwnerOf(i)
-		g := gs[o]
-		if g == nil {
-			g = &ownerGroup{}
-			gs[o] = g
-		}
-		g.slots = append(g.slots, a.slot(i))
-		g.pos = append(g.pos, k)
 	}
-	return gs
 }
 
 func (q *qsmProc) Put(h core.Handle, off int, src []int64) {
@@ -238,7 +217,7 @@ func (q *qsmProc) Put(h core.Handle, off int, src []int64) {
 		})
 		return
 	}
-	q.putScattered(a, seqIdx(off, len(src)), src)
+	q.putScattered(a, core.SeqIdx(off, len(src)), src)
 }
 
 func (q *qsmProc) PutIndexed(h core.Handle, idx []int, src []int64) {
@@ -248,29 +227,28 @@ func (q *qsmProc) PutIndexed(h core.Handle, idx []int, src []int64) {
 	if len(idx) == 0 {
 		return
 	}
-	q.putScattered(q.qm.arr(h), idx, src)
+	a := q.qm.arr(h)
+	q.checkIdx(a, idx)
+	q.putScattered(a, idx, src)
 }
 
+// putScattered issues one BSP PutIndexed per owner, in ascending owner
+// order with each owner's words in input order.
 func (q *qsmProc) putScattered(a *emuArray, idx []int, src []int64) {
-	gs := q.groupByOwner(a, idx)
-	for _, o := range sortedOwners(gs) {
-		g := gs[o]
-		vals := make([]int64, len(g.pos))
-		for k, p := range g.pos {
-			vals[k] = src[p]
+	slots := make([]int, len(idx))
+	vals := make([]int64, len(idx))
+	q.byOwner.Count(a.lay, idx)
+	for i, ix := range idx {
+		k := q.byOwner.Slot(i)
+		slots[k], vals[k] = a.slot(ix), src[i]
+	}
+	start := 0
+	for o, end := range q.byOwner.Ends {
+		if end > start {
+			q.pc.putIndexed(o, a.reg, slots[start:end:end], vals[start:end:end])
 		}
-		q.pc.PutIndexed(o, a.reg, g.slots, vals)
+		start = end
 	}
-}
-
-// sortedOwners fixes the iteration order so simulations stay deterministic.
-func sortedOwners(gs map[int]*ownerGroup) []int {
-	owners := make([]int, 0, len(gs))
-	for o := range gs {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	return owners
 }
 
 func (q *qsmProc) Get(h core.Handle, off int, dst []int64) {
@@ -288,7 +266,7 @@ func (q *qsmProc) Get(h core.Handle, off int, dst []int64) {
 		})
 		return
 	}
-	q.getScattered(a, seqIdx(off, len(dst)), dst)
+	q.getScattered(a, core.SeqIdx(off, len(dst)), dst)
 }
 
 func (q *qsmProc) GetIndexed(h core.Handle, idx []int, dst []int64) {
@@ -298,16 +276,27 @@ func (q *qsmProc) GetIndexed(h core.Handle, idx []int, dst []int64) {
 	if len(idx) == 0 {
 		return
 	}
-	q.getScattered(q.qm.arr(h), idx, dst)
+	a := q.qm.arr(h)
+	q.checkIdx(a, idx)
+	q.getScattered(a, idx, dst)
 }
 
+// getScattered issues one BSP GetIndexed per owner, ascending, whose
+// values land straight in dst at their input positions.
 func (q *qsmProc) getScattered(a *emuArray, idx []int, dst []int64) {
-	gs := q.groupByOwner(a, idx)
-	for _, o := range sortedOwners(gs) {
-		g := gs[o]
-		tmp := make([]int64, len(g.slots))
-		q.pc.GetIndexed(o, a.reg, g.slots, tmp)
-		q.fixups = append(q.fixups, fixup{tmp: tmp, dst: dst, pos: g.pos})
+	slots := make([]int, len(idx))
+	pos := make([]int, len(idx))
+	q.byOwner.Count(a.lay, idx)
+	for i, ix := range idx {
+		k := q.byOwner.Slot(i)
+		slots[k], pos[k] = a.slot(ix), i
+	}
+	start := 0
+	for o, end := range q.byOwner.Ends {
+		if end > start {
+			q.pc.getIndexed(o, a.reg, slots[start:end:end], dst, pos[start:end:end])
+		}
+		start = end
 	}
 }
 
@@ -345,20 +334,4 @@ func (q *qsmProc) WriteLocal(h core.Handle, off int, src []int64) {
 	}
 }
 
-func (q *qsmProc) Sync() {
-	q.pc.Sync()
-	for _, f := range q.fixups {
-		for k, p := range f.pos {
-			f.dst[p] = f.tmp[k]
-		}
-	}
-	q.fixups = q.fixups[:0]
-}
-
-func seqIdx(off, n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = off + i
-	}
-	return idx
-}
+func (q *qsmProc) Sync() { q.pc.Sync() }

@@ -193,4 +193,17 @@ func TestEmulationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The last Free drops every processor's copy of the backing region; the
+	// re-registered array got a fresh one.
+	for proc := 0; proc < 3; proc++ {
+		if got := qm.M.RegionData("qsm.0.tmp", proc); got != nil {
+			t.Errorf("freed region still holds %v on proc %d", got, proc)
+		}
+		if got := len(qm.M.RegionData("qsm.1.tmp", proc)); got != 4 {
+			t.Errorf("live region has %d words on proc %d, want 4", got, proc)
+		}
+	}
+	if qm.M.regions[0].data != nil {
+		t.Error("freed region's per-processor copies are still referenced")
+	}
 }

@@ -1,10 +1,14 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzLayoutInvariants checks every layout kind on arbitrary geometry:
-// owners are in range, PerOwner matches OwnerOf, and spans cover the range
-// exactly once.
+// owners are in range, PerOwner matches OwnerOf, spans cover the range
+// exactly once, and ByOwner groups positions by ascending owner in input
+// order.
 func FuzzLayoutInvariants(f *testing.F) {
 	f.Add(uint16(10), uint8(4), uint8(0), uint8(5), uint64(1))
 	f.Add(uint16(257), uint8(7), uint8(3), uint8(100), uint64(99))
@@ -45,6 +49,27 @@ func FuzzLayoutInvariants(f *testing.F) {
 		})
 		if covered != cnt {
 			t.Fatalf("spans cover %d of %d", covered, cnt)
+		}
+
+		idx := SeqIdx(off, cnt)
+		slices.Reverse(idx)
+		perm := make([]int, cnt)
+		var b ByOwner
+		b.Count(l, idx)
+		for k := range idx {
+			perm[b.Slot(k)] = k
+		}
+		start := 0
+		for o, end := range b.Ends {
+			if end-start != per[o] {
+				t.Fatalf("owner %d's run has %d positions, PerOwner says %d", o, end-start, per[o])
+			}
+			for k := start; k < end; k++ {
+				if l.OwnerOf(idx[perm[k]]) != o || (k > start && perm[k] <= perm[k-1]) {
+					t.Fatalf("owner %d's run %v is not its positions in input order", o, perm[start:end])
+				}
+			}
+			start = end
 		}
 	})
 }

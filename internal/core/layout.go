@@ -111,6 +111,58 @@ func (l Layout) Spans(off, n int, fn func(owner, off, cnt int)) {
 	}
 }
 
+// ByOwner is the counting pass that splits a scattered access by owner
+// without maps: Count, then Slot for every position in input order, puts
+// the positions in ascending owner order, input order within an owner. A
+// backend keeps one per processor and reuses its scratch.
+type ByOwner struct {
+	owner []int32
+	// Count sets Ends[o] to where owner o's run starts and each Slot
+	// advances its owner's entry, so once every position is placed Ends[o]
+	// is where the run ends (and the next owner's starts).
+	Ends []int
+}
+
+// Count records the owner of each index of idx and sizes the runs.
+func (b *ByOwner) Count(l Layout, idx []int) {
+	if cap(b.owner) < len(idx) {
+		b.owner = make([]int32, len(idx))
+	}
+	b.owner = b.owner[:len(idx)]
+	if len(b.Ends) != l.P {
+		b.Ends = make([]int, l.P)
+	}
+	clear(b.Ends)
+	for k, ix := range idx {
+		o := l.OwnerOf(ix)
+		b.owner[k] = int32(o)
+		b.Ends[o]++
+	}
+	start := 0
+	for o, n := range b.Ends {
+		b.Ends[o] = start
+		start += n
+	}
+}
+
+// Slot returns where position k of the counted idx goes in the grouped
+// order. Call it once per position, in input order.
+func (b *ByOwner) Slot(k int) int {
+	o := b.owner[k]
+	s := b.Ends[o]
+	b.Ends[o] = s + 1
+	return s
+}
+
+// SeqIdx returns the indices off, off+1, ..., off+n-1.
+func SeqIdx(off, n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = off + i
+	}
+	return idx
+}
+
 // OwnsRange reports whether proc owns every word of [off, off+n).
 func (l Layout) OwnsRange(proc, off, n int) bool {
 	switch l.Kind {

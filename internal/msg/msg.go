@@ -3,8 +3,10 @@
 // alone does not charge: per-message software bookkeeping, buffer copies on
 // both sides, and header bytes on the wire — the reason the observed gap in
 // Table 3 (35 cycles/byte for put) is an order of magnitude above the
-// hardware gap (3 cycles/byte). It also provides tagged receive matching and
-// two barrier algorithms.
+// hardware gap (3 cycles/byte). It also provides tagged receive matching,
+// two barrier algorithms, and the superstep exchange (Exchange) that both
+// bulk-synchronous libraries built on it, qsmlib and bsp, end every phase
+// with.
 package msg
 
 import (

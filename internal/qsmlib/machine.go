@@ -3,13 +3,9 @@
 // the machine/msg substrate.
 //
 // Access to remote memory happens through explicit Get and Put calls that
-// merely enqueue requests on the local node. Communication happens when
-// Sync is called: the system first builds and distributes a communications
-// plan saying how many put words and get requests will flow between each
-// pair of nodes, then nodes exchange data in a staggered order designed to
-// reduce receive-side contention and avoid deadlock (node i talks to node
-// (i+r) mod p in round r), owners serve get replies from pre-phase state,
-// writes are applied, and a barrier ends the phase.
+// merely enqueue requests on the local node; Sync ends the phase with the
+// superstep exchange of msg.Exchange (communications plan, staggered data
+// exchange, gets served from pre-phase state, puts applied, barrier).
 package qsmlib
 
 import (
@@ -20,7 +16,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -47,13 +42,9 @@ type Options struct {
 	Obs *obs.Recorder
 }
 
-// tracePid is the trace process id qsmlib supersteps render under; bsp uses
-// a different pid so both libraries can share one recorder (see ext1).
-const tracePid = 0
-
 // Machine is a simulated p-node QSM machine.
 type Machine struct {
-	MP   *machine.Multiprocessor
+	*msg.Library
 	opts Options
 
 	arrays []*array
@@ -71,54 +62,31 @@ type array struct {
 
 // New builds a p-node simulated QSM machine.
 func New(p int, opts Options) *Machine {
-	if opts.Net == (machine.NetParams{}) {
-		opts.Net = machine.DefaultNet()
-	}
-	if opts.SW == (msg.SWParams{}) {
-		opts.SW = msg.DefaultSW()
-	}
 	m := &Machine{opts: opts, byName: map[string]core.Handle{}}
-	m.MP = machine.New(p, opts.Net, opts.Model)
-	if opts.Obs != nil {
-		m.MP.Observe(opts.Obs)
-	}
+	m.Library = msg.NewLibrary(p, opts.Net, opts.Model, msg.Config{
+		SW:    opts.SW,
+		Naive: opts.NaiveExchange,
+		Tree:  opts.TreeBarrier,
+		Words: func(_, h int) []int64 { return m.arr(core.Handle(h)).data },
+		Names: msg.Names{Subsystem: "qsmlib", Step: "phase", Thread: "node", Pid: 0},
+		Obs:   opts.Obs,
+	})
 	return m
 }
 
-// P returns the node count.
-func (m *Machine) P() int { return m.MP.P() }
-
 // G returns the effective QSM gap parameter implied by the machine's
 // hardware network: cycles per 8-byte word at the hardware bandwidth.
-func (m *Machine) G() float64 { return m.opts.Net.Gap * 8 }
+func (m *Machine) G() float64 { return m.MP.Net.Gap * 8 }
 
 // Run executes prog as a QSM program on all nodes and returns when the
 // simulation completes.
 func (m *Machine) Run(prog core.Program) error {
 	m.ctxs = make([]*qctx, m.P())
-	if rec := m.opts.Obs; rec.Tracing() {
-		rec.NamePid(tracePid, "qsmlib")
-		for i := 0; i < m.P(); i++ {
-			rec.NameTid(tracePid, i, fmt.Sprintf("node%d", i))
-		}
-	}
-	err := m.MP.Run(m.opts.Seed, func(n *machine.Node) {
-		ctx := newQctx(m, n)
-		m.ctxs[n.ID()] = ctx
-		prog(ctx)
+	return m.Library.Run(m.opts.Seed, func(x *msg.Exchange) {
+		c := &qctx{m: m, x: x}
+		m.ctxs[x.ID()] = c
+		prog(c)
 	})
-	if rec := m.opts.Obs; rec != nil {
-		for _, c := range m.ctxs {
-			if c == nil {
-				continue
-			}
-			rec.Counter("qsmlib", "comm_cycles", "").Add(uint64(c.commCycles))
-		}
-		for _, n := range m.MP.Nodes {
-			rec.Counter("qsmlib", "comp_cycles", "").Add(uint64(n.CompCycles))
-		}
-	}
-	return err
 }
 
 // RunProfiled executes prog with cost recording.
@@ -132,61 +100,10 @@ func (m *Machine) RunProfiled(prog core.Program, flags core.Flags) (*core.Profil
 	return profile, err
 }
 
-// Stats summarise a completed run.
-type Stats struct {
-	TotalCycles sim.Time // end-to-end simulated time
-	// CommCycles and CompCycles are per-node library (communication) and
-	// Compute time.
-	CommCycles []sim.Time
-	CompCycles []sim.Time
-	MsgsSent   uint64
-	BytesSent  uint64
-}
-
-// MaxComm returns the bottleneck node's communication time.
-func (s Stats) MaxComm() sim.Time {
-	var m sim.Time
-	for _, c := range s.CommCycles {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// MaxComp returns the bottleneck node's computation time.
-func (s Stats) MaxComp() sim.Time {
-	var m sim.Time
-	for _, c := range s.CompCycles {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// RunStats returns the measurements of the last Run.
-func (m *Machine) RunStats() Stats {
-	s := Stats{TotalCycles: m.MP.E.Now()}
-	for _, n := range m.MP.Nodes {
-		s.MsgsSent += n.MsgsSent
-		s.BytesSent += n.BytesSent
-		s.CompCycles = append(s.CompCycles, n.CompCycles)
-	}
-	for _, c := range m.ctxs {
-		if c == nil {
-			s.CommCycles = append(s.CommCycles, 0)
-			continue
-		}
-		s.CommCycles = append(s.CommCycles, c.commCycles)
-	}
-	return s
-}
-
 // Timeline returns node id's per-phase sync spans from the last Run: when
-// each Sync began and ended in simulated time and how many words it moved.
+// each Sync began and ended in simulated time and how much it moved.
 // Useful for visualising where a program's time goes.
-func (m *Machine) Timeline(id int) []PhaseSpan {
+func (m *Machine) Timeline(id int) []msg.PhaseSpan {
 	if id < 0 || id >= len(m.ctxs) || m.ctxs[id] == nil {
 		return nil
 	}
