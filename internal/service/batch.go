@@ -25,6 +25,11 @@ import (
 type batchStream struct {
 	id  string
 	log *eventLog
+	// held counts the member jobs still in the scheduler's job table, plus
+	// one while SubmitBatch is admitting; guarded by Scheduler.mu. The
+	// batch leaves Scheduler.batches when it reaches zero, so a batch is
+	// dropped together with its last retained member.
+	held int
 
 	mu         sync.Mutex
 	total      int // members still expected to produce a terminal event
@@ -126,7 +131,7 @@ func (s *Scheduler) SubmitBatch(ctx context.Context, reqs []Request) (BatchStatu
 	b := s.newBatch(len(reqs))
 	out := BatchStatus{ID: b.id, EventsPath: "/v1/batches/" + b.id + "/events"}
 	for _, req := range reqs {
-		js, err := s.SubmitCtx(ctx, req)
+		j, err := s.submit(ctx, req)
 		if err != nil {
 			b.skip()
 			out.Rejected++
@@ -134,16 +139,44 @@ func (s *Scheduler) SubmitBatch(ctx context.Context, reqs []Request) (BatchStatu
 			continue
 		}
 		out.Accepted++
-		s.mu.Lock()
-		j := s.jobs[js.ID]
-		s.mu.Unlock()
-		if j != nil {
-			j.events.attach(b)
-		}
-		st := js
+		s.attach(j, b)
+		st := j.status()
 		out.Jobs = append(out.Jobs, BatchItem{Job: &st})
 	}
+	s.mu.Lock()
+	s.releaseBatchLocked(b)
+	s.mu.Unlock()
 	return out, nil
+}
+
+// attach makes admitted job j a member of batch b: j's events, past and
+// future, flow into b's stream, and while j stays in the job table it
+// keeps b there too. j may already be finished, and even evicted, by the
+// time its submission returns; a job served at admission keeps no log, so
+// its terminal state event goes to b directly.
+func (s *Scheduler) attach(j *job, b *batchStream) {
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		b.held++
+		j.batches = append(j.batches, b)
+	}
+	s.mu.Unlock()
+	if j.events != nil {
+		j.events.attach(b)
+		return
+	}
+	st := j.status()
+	if data, err := json.Marshal(st); err == nil {
+		b.forward(EventState, data, true, st.State == StateFailed)
+	}
+}
+
+// releaseBatchLocked drops one hold on b, and b itself with the last;
+// Scheduler.mu held.
+func (s *Scheduler) releaseBatchLocked(b *batchStream) {
+	if b.held--; b.held == 0 {
+		delete(s.batches, b.id)
+	}
 }
 
 // newBatch registers a batch stream expecting total member terminals.
@@ -155,7 +188,7 @@ func (s *Scheduler) newBatch(total int) *batchStream {
 	if s.cfg.NodeName != "" {
 		id = fmt.Sprintf("batch-%s-%d", s.cfg.NodeName, s.nextBatch)
 	}
-	b := &batchStream{id: id, total: total}
+	b := &batchStream{id: id, total: total, held: 1}
 	b.log = newEventLog(id, s.cfg.StreamLogCap, s.streams)
 	s.batches[id] = b
 	return b

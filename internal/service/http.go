@@ -16,7 +16,7 @@ import (
 //
 //	POST   /v1/jobs             submit {"experiment","seed","runs","quick"}
 //	POST   /v1/jobs:batch       submit {"jobs":[...]} with per-item outcomes
-//	GET    /v1/jobs             list job statuses
+//	GET    /v1/jobs             list the retained jobs' statuses
 //	GET    /v1/jobs/{id}        one job's status
 //	GET    /v1/jobs/{id}/events SSE (or NDJSON via Accept) event stream
 //	GET    /v1/jobs/{id}/trace  merged wall-clock + sim-time Perfetto trace
@@ -31,6 +31,9 @@ import (
 // Errors are {"error": "..."} with 400 (bad request/unknown experiment),
 // 401 (keyed mode, missing/unknown API key), 404 (no such job/result),
 // 429 + Retry-After (queue full or tenant over quota), or 503 (draining).
+// The job routes keep every queued or running job and the last
+// retainedJobs finished ones; the 404 for an older id this scheduler issued
+// says its record left the retained window and where its result stays.
 //
 // Every request runs under TraceMiddleware: the X-Qsm-Trace request header
 // (when a valid trace ID) or a freshly minted ID identifies the request, is
@@ -231,22 +234,28 @@ func (s *Scheduler) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Jobs())
 }
 
-func (s *Scheduler) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	js, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: no such job"))
-		return
+// jobOr404 returns the retained job the request's {id} names, or writes the
+// 404 and returns nil.
+func (s *Scheduler) jobOr404(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	j, evicted := s.lookup(id)
+	if j == nil {
+		writeError(w, http.StatusNotFound, s.missingJob(id, evicted))
 	}
-	writeJSON(w, http.StatusOK, js)
+	return j
+}
+
+func (s *Scheduler) handleGetJob(w http.ResponseWriter, r *http.Request) {
+	if j := s.jobOr404(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.status())
+	}
 }
 
 func (s *Scheduler) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.Cancel(id) {
-		writeError(w, http.StatusNotFound, errors.New("service: no such job"))
-		return
+	if j := s.jobOr404(w, r); j != nil {
+		j.cancel()
+		writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "status": "cancelling"})
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "cancelling"})
 }
 
 func (s *Scheduler) handleGetResult(w http.ResponseWriter, r *http.Request) {
@@ -310,15 +319,12 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 func (s *Scheduler) handleGetJobTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	ok, err := s.WriteJobTrace(w, r.PathValue("id"))
-	if !ok {
-		// WriteJobTrace writes nothing for a missing job, so the 404 is
-		// still clean to send.
-		writeError(w, http.StatusNotFound, errors.New("service: no such job"))
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
-	if err != nil && s.cfg.Log.Enabled() {
+	w.Header().Set("Content-Type", "application/json")
+	if err := s.writeJobTrace(w, j); err != nil && s.cfg.Log.Enabled() {
 		s.cfg.Log.Warn("writing job trace failed", "err", err)
 	}
 }

@@ -12,6 +12,11 @@
 // simulator is deterministic in the keyed options, cached tables are
 // byte-identical to recomputation.
 //
+// The job table is bounded by count: every queued or running job stays
+// addressable, and so do the last retainedJobs finished ones. Older
+// finished records are evicted; their results stay in the store, addressed
+// by cache key, and their ids answer 404 with a hint that says so.
+//
 // Failures are contained per attempt: each execution attempt runs under an
 // optional per-job timeout, a failed (non-cancelled) attempt is retried up
 // to a bounded budget, and a panicking experiment is converted to an
@@ -29,7 +34,10 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -210,6 +218,41 @@ type JobStatus struct {
 	ElapsedSeconds float64     `json:"elapsed_seconds"`
 }
 
+// retainedJobs is how many finished (done or failed) jobs the scheduler
+// keeps addressable by id. Queued and running jobs are always kept, so the
+// job table holds at most retainedJobs plus the jobs in flight.
+const retainedJobs = 4096
+
+// jobCounts tallies jobs by lifecycle state as they move between states:
+// queued and running are live counts, done and failed only grow. Every
+// admitted job is in exactly one state, so their sum is every job admitted
+// since the scheduler started.
+type jobCounts struct{ queued, running, done, failed atomic.Int64 }
+
+func (c *jobCounts) of(st State) *atomic.Int64 {
+	switch st {
+	case StateQueued:
+		return &c.queued
+	case StateRunning:
+		return &c.running
+	case StateDone:
+		return &c.done
+	default:
+		return &c.failed
+	}
+}
+
+func (c *jobCounts) snapshot() JobCounts {
+	n := JobCounts{
+		Queued:  int(c.queued.Load()),
+		Running: int(c.running.Load()),
+		Done:    int(c.done.Load()),
+		Failed:  int(c.failed.Load()),
+	}
+	n.Total = n.Queued + n.Running + n.Done + n.Failed
+	return n
+}
+
 // job is the scheduler-internal mutable record behind a JobStatus.
 type job struct {
 	seq        int
@@ -234,8 +277,17 @@ type job struct {
 	// channel).
 	queueSpan *obs.WallSpan
 	// events is the job's replayable stream log behind
-	// GET /v1/jobs/{id}/events.
+	// GET /v1/jobs/{id}/events. Nil for a job served at admission, whose
+	// whole stream is its one terminal state event (see streamLog).
 	events *eventLog
+	// counts is the scheduler's per-state tally, moved with state.
+	counts *jobCounts
+
+	// retired and batches are guarded by Scheduler.mu: retired marks the
+	// job as in the ring of finished jobs, and batches lists the batch
+	// streams its retention keeps alive.
+	retired bool
+	batches []*batchStream
 
 	mu sync.Mutex
 	// quotaHeld marks the job as holding its tenant's concurrency slot,
@@ -298,16 +350,23 @@ func (j *job) status() JobStatus {
 	}
 }
 
+// setStateLocked moves j to st and the per-state counts with it; j.mu held.
+func (j *job) setStateLocked(st State) {
+	j.counts.of(j.state).Add(-1)
+	j.counts.of(st).Add(1)
+	j.state = st
+}
+
 func (j *job) startAttempt() {
 	j.mu.Lock()
-	j.state = StateRunning
+	j.setStateLocked(StateRunning)
 	j.attempt++
 	j.mu.Unlock()
 }
 
 func (j *job) finish(resultKey string, cached bool) {
 	j.mu.Lock()
-	j.state = StateDone
+	j.setStateLocked(StateDone)
 	j.resultKey = resultKey
 	j.cached = cached
 	j.finished = time.Now()
@@ -316,7 +375,7 @@ func (j *job) finish(resultKey string, cached bool) {
 
 func (j *job) fail(err error) {
 	j.mu.Lock()
-	j.state = StateFailed
+	j.setStateLocked(StateFailed)
 	j.errMsg = err.Error()
 	j.finished = time.Now()
 	j.mu.Unlock()
@@ -346,10 +405,23 @@ type Scheduler struct {
 
 	streams *streamHub
 	tenants *tenantRegistry
+	counts  jobCounts
+	// idPrefix is what every job id this scheduler issues starts with,
+	// followed by the job's sequence number.
+	idPrefix string
+	// doneCtx is the already-cancelled context every job served at
+	// admission shares: nothing runs under it.
+	doneCtx context.Context
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	nextSeq   int
+	mu      sync.Mutex
+	jobs    map[string]*job
+	nextSeq int
+	// ring holds the retained finished jobs; once full, ring[ringNext] is
+	// the oldest, evicted by the next job to finish. ringCap sizes it on
+	// first use (retainedJobs; tests lower it).
+	ring      []*job
+	ringNext  int
+	ringCap   int
 	batches   map[string]*batchStream
 	nextBatch int
 	draining  bool
@@ -395,16 +467,27 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		cfg:     cfg,
-		queue:   newAdmitQueue(cfg.QueueCap, cfg.AgingStep),
-		started: time.Now(),
-		jobs:    map[string]*job{},
-		batches: map[string]*batchStream{},
-		streams: newStreamHub(),
-		tenants: tenants,
-		drainCh: make(chan struct{}),
+		cfg:      cfg,
+		queue:    newAdmitQueue(cfg.QueueCap, cfg.AgingStep),
+		started:  time.Now(),
+		jobs:     map[string]*job{},
+		ringCap:  retainedJobs,
+		batches:  map[string]*batchStream{},
+		streams:  newStreamHub(),
+		tenants:  tenants,
+		drainCh:  make(chan struct{}),
+		idPrefix: "job-",
+	}
+	// Cluster nodes namespace job IDs with their node name: IDs cross node
+	// boundaries when a forwarded submit's ID is later polled on another
+	// node, and bare sequence numbers would collide across the cluster.
+	if cfg.NodeName != "" {
+		s.idPrefix = "job-" + cfg.NodeName + "-"
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
+	doneCtx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.doneCtx = doneCtx
 	rec := obs.New(obs.Config{Metrics: true})
 	s.met.rec = rec
 	s.met.submitted = rec.Counter("service", "jobs_submitted", "")
@@ -434,10 +517,12 @@ func (s *Scheduler) metric(f func()) {
 
 // notify fans out j's current status after a lifecycle transition: the
 // state hook, the job's event stream, and — exactly once, on the first
-// terminal transition — the tenant quota release. Call sites hold no
-// scheduler locks. Every path to a terminal state funnels through here
-// (done, failed, cancelled before start, coalesced, drained), which is what
-// makes the quota release and the stream close exhaustive.
+// terminal transition — the tenant quota release and the job's move into
+// the ring of retained finished jobs. Call sites hold no scheduler locks.
+// Every path to a terminal state funnels through here (done, failed,
+// cancelled before start, coalesced, drained, served at admission), which
+// is what makes the quota release, the stream close and the retention
+// bound exhaustive.
 func (s *Scheduler) notify(j *job) {
 	st := j.status()
 	if s.cfg.StateHook != nil {
@@ -450,7 +535,30 @@ func (s *Scheduler) notify(j *job) {
 		// it detaches it from the root context, whose children would
 		// otherwise grow by one per job.
 		j.cancel()
+		s.retire(j)
 	}
+}
+
+// retire puts finished job j into the ring of retained finished jobs,
+// evicting the oldest one once the ring is full. Idempotent.
+func (s *Scheduler) retire(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.retired {
+		return
+	}
+	j.retired = true
+	if s.ring == nil {
+		s.ring = make([]*job, s.ringCap)
+	}
+	if old := s.ring[s.ringNext]; old != nil {
+		delete(s.jobs, old.id)
+		for _, b := range old.batches {
+			s.releaseBatchLocked(b)
+		}
+	}
+	s.ring[s.ringNext] = j
+	s.ringNext = (s.ringNext + 1) % len(s.ring)
 }
 
 // releaseQuota returns j's tenant concurrency slot, exactly once.
@@ -483,8 +591,18 @@ func (s *Scheduler) Submit(req Request) (JobStatus, error) {
 // it. ctx scopes admission only; job execution is bound to the scheduler's
 // lifetime, not the submitting request's.
 func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, error) {
+	j, err := s.submit(ctx, req)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return j.status(), nil
+}
+
+// submit is SubmitCtx returning the admitted job itself, which stays valid
+// after the scheduler has evicted it from the job table.
+func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if !experiments.Known(req.Experiment) {
-		return JobStatus{}, fmt.Errorf("%w %q (have %v)", ErrUnknownExperiment, req.Experiment, experiments.IDs())
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownExperiment, req.Experiment, experiments.IDs())
 	}
 	s.metric(func() { s.met.submitted.Inc() })
 	key := store.ResultKey(req.Experiment, req.Options, s.cfg.Fingerprint)
@@ -494,13 +612,15 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 	// A store read error here is deliberately treated as a miss — the queue
 	// path recomputes.
 	if _, ok, err := s.cfg.Store.GetBytes(ctx, key); err == nil && ok {
-		j := s.register(req, key, traceID)
-		j.queueSpan.End() // never queued; commit the ~0 wait for a complete timeline
-		j.finish(key, true)
+		s.mu.Lock()
+		j := s.registerLocked(req, key, traceID, true)
+		s.mu.Unlock()
 		s.metric(func() { s.met.hits.Inc() })
-		j.log.Info("job served from cache at admission", "experiment", req.Experiment, "state", StateDone)
+		if j.log.Enabled() {
+			j.log.Info("job served from cache at admission", "experiment", req.Experiment, "state", StateDone)
+		}
 		s.notify(j)
-		return j.status(), nil
+		return j, nil
 	}
 
 	s.mu.Lock()
@@ -508,7 +628,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 		s.mu.Unlock()
 		s.metric(func() { s.met.rejected.Inc() })
 		s.logFor(traceID).Warn("submission rejected: draining", "experiment", req.Experiment)
-		return JobStatus{}, ErrDraining
+		return nil, ErrDraining
 	}
 	// Tenant quota gates admission after the cache-hit check (a cached
 	// result costs nothing and never consumes quota) and before the job
@@ -519,15 +639,17 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 		s.metric(func() { s.met.rejected.Inc() })
 		s.logFor(traceID).Warn("submission rejected: tenant over quota",
 			"experiment", req.Experiment, "tenant", req.Tenant, "error", err)
-		return JobStatus{}, err
+		return nil, err
 	}
-	j := s.registerLocked(req, key, traceID)
+	j := s.registerLocked(req, key, traceID, false)
 	j.mu.Lock()
 	j.quotaHeld = held
 	j.mu.Unlock()
 	full := !s.queue.push(j)
 	if full {
+		// Never reached a worker: the job leaves no record and no count.
 		delete(s.jobs, j.id)
+		s.counts.queued.Add(-1)
 	}
 	s.mu.Unlock()
 	if full {
@@ -535,14 +657,14 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 		s.releaseQuota(j)
 		s.metric(func() { s.met.rejected.Inc() })
 		j.log.Warn("submission rejected: queue full", "experiment", req.Experiment, "capacity", s.queue.Cap())
-		return JobStatus{}, &QueueFullError{Capacity: s.queue.Cap()}
+		return nil, &QueueFullError{Capacity: s.queue.Cap()}
 	}
 	depth := s.queue.Len()
 	s.metric(func() { s.met.queueDepth.Set(int64(depth)) })
 	j.log.Info("job queued", "experiment", req.Experiment, "state", StateQueued, "queue_depth", depth,
 		"tenant", j.tenant, "priority", j.priority)
 	s.notify(j)
-	return j.status(), nil
+	return j, nil
 }
 
 // resolveTraceID picks the trace ID a submission runs under: a valid ID from
@@ -569,21 +691,13 @@ func (s *Scheduler) logFor(traceID string) *obs.Logger {
 	return s.cfg.Log.With("trace_id", traceID)
 }
 
-func (s *Scheduler) register(req Request, key, traceID string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.registerLocked(req, key, traceID)
-}
-
-func (s *Scheduler) registerLocked(req Request, key, traceID string) *job {
+// registerLocked creates and indexes a queued job, or with hit a job
+// already done from the cache. A hit gets none of what running needs: no
+// event log, no child of the root context, and a queue span only when
+// tracing is on.
+func (s *Scheduler) registerLocked(req Request, key, traceID string, hit bool) *job {
 	s.nextSeq++
-	// Cluster nodes namespace job IDs with their node name: IDs cross node
-	// boundaries when a forwarded submit's ID is later polled on another
-	// node, and bare sequence numbers would collide across the cluster.
-	id := fmt.Sprintf("job-%d", s.nextSeq)
-	if s.cfg.NodeName != "" {
-		id = fmt.Sprintf("job-%s-%d", s.cfg.NodeName, s.nextSeq)
-	}
+	id := s.idPrefix + strconv.Itoa(s.nextSeq)
 	j := &job{
 		seq:        s.nextSeq,
 		id:         id,
@@ -595,12 +709,28 @@ func (s *Scheduler) registerLocked(req Request, key, traceID string) *job {
 		tenant:     req.Tenant,
 		priority:   req.Priority,
 		state:      StateQueued,
+		counts:     &s.counts,
 		created:    time.Now(),
 	}
+	if s.cfg.Log.Enabled() {
+		j.log = s.logFor(traceID).With("job", j.id, "key", store.ShortKey(key))
+	}
+	s.jobs[j.id] = j
+	if hit {
+		j.state, j.cached, j.resultKey, j.finished = StateDone, true, key, j.created
+		j.ctx, j.cancel = s.doneCtx, func() {}
+		s.counts.done.Add(1)
+		if s.cfg.Tracer.Enabled() {
+			// Never queued; commit the ~0 wait for a complete timeline.
+			s.cfg.Tracer.Start(traceID, "queue", "queue", "queue-wait",
+				obs.WArg{Key: "job", Val: j.id}, obs.WArg{Key: "experiment", Val: j.experiment}).End()
+		}
+		return j
+	}
+	s.counts.queued.Add(1)
 	if req.Deadline > 0 {
 		j.deadline = j.created.Add(req.Deadline)
 	}
-	j.log = s.logFor(traceID).With("job", j.id, "key", store.ShortKey(key))
 	j.events = newEventLog(id, s.cfg.StreamLogCap, s.streams)
 	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
 	// The job's context carries its trace identity so store I/O and compute
@@ -608,22 +738,43 @@ func (s *Scheduler) registerLocked(req Request, key, traceID string) *job {
 	j.ctx = obs.WithTraceContext(j.ctx, &obs.TraceContext{ID: traceID, Tracer: s.cfg.Tracer, Log: j.log})
 	j.queueSpan = s.cfg.Tracer.Start(traceID, "queue", "queue", "queue-wait",
 		obs.WArg{Key: "job", Val: j.id}, obs.WArg{Key: "experiment", Val: j.experiment})
-	s.jobs[j.id] = j
 	return j
 }
 
-// Job returns the status of one job.
-func (s *Scheduler) Job(id string) (JobStatus, bool) {
+// lookup returns the retained job id names. When there is none, evicted
+// reports whether id is still one this scheduler issued: its record has
+// left the ring of retained finished jobs.
+func (s *Scheduler) lookup(id string) (j *job, evicted bool) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		return j, false
+	}
+	rest, ok := strings.CutPrefix(id, s.idPrefix)
+	seq, err := strconv.Atoi(rest)
+	return nil, ok && err == nil && seq >= 1 && seq <= s.nextSeq && strconv.Itoa(seq) == rest
+}
+
+// missingJob is the 404 error for an id lookup did not find.
+func (s *Scheduler) missingJob(id string, evicted bool) error {
+	if !evicted {
+		return errors.New("service: no such job")
+	}
+	return fmt.Errorf("service: job %s left the retained window (the last %d finished jobs); "+
+		"a done job's result stays at /v1/results/{cache_key}", id, s.ringCap)
+}
+
+// Job returns the status of one retained job.
+func (s *Scheduler) Job(id string) (JobStatus, bool) {
+	j, _ := s.lookup(id)
+	if j == nil {
 		return JobStatus{}, false
 	}
 	return j.status(), true
 }
 
-// Jobs lists every job in submission order.
+// Jobs lists the retained jobs — every queued or running job and the most
+// recent finished ones — in submission order.
 func (s *Scheduler) Jobs() []JobStatus {
 	s.mu.Lock()
 	js := make([]*job, 0, len(s.jobs))
@@ -641,15 +792,13 @@ func (s *Scheduler) Jobs() []JobStatus {
 
 // Cancel cancels a job's context. A queued job fails when a worker
 // dequeues it; a running job unwinds at its next (point, run) boundary.
-// It reports whether the job exists.
+// It reports whether the job is retained.
 func (s *Scheduler) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if ok {
+	j, _ := s.lookup(id)
+	if j != nil {
 		j.cancel()
 	}
-	return ok
+	return j != nil
 }
 
 func (s *Scheduler) worker() {

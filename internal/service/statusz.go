@@ -29,7 +29,9 @@ type QueueStatus struct {
 	Tenants map[string]int `json:"tenants,omitempty"`
 }
 
-// JobCounts breaks the job table down by lifecycle state.
+// JobCounts counts jobs by lifecycle state: Queued and Running are the jobs
+// in those states now, Done and Failed every job that has ended that way since
+// the scheduler started, and Total their sum, every job admitted.
 type JobCounts struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
@@ -100,31 +102,9 @@ func (s *Scheduler) Status() Status {
 			AgingStepSeconds: s.cfg.AgingStep.Seconds(),
 			Tenants:          s.queue.TenantDepths(),
 		},
-		Store: s.cfg.Store.Stats(),
-	}
-
-	s.mu.Lock()
-	st.Draining = s.draining
-	st.Jobs.Total = len(s.jobs)
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		switch state {
-		case StateQueued:
-			st.Jobs.Queued++
-		case StateRunning:
-			st.Jobs.Running++
-		case StateDone:
-			st.Jobs.Done++
-		case StateFailed:
-			st.Jobs.Failed++
-		}
+		Store:    s.cfg.Store.Stats(),
+		Draining: s.Draining(),
+		Jobs:     s.counts.snapshot(),
 	}
 
 	s.met.Lock()
@@ -197,13 +177,15 @@ func (s *Scheduler) AdminState() AdminState {
 // execution — every span tagged with the job's trace ID, including the
 // client's polls when the client propagated the ID) alongside the job's
 // sim-time spans when the scheduler collected them. It reports whether the
-// job exists; a job without tracing exports an empty-but-valid trace.
+// job is retained; a job without tracing exports an empty-but-valid trace.
 func (s *Scheduler) WriteJobTrace(w io.Writer, id string) (bool, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j, _ := s.lookup(id)
+	if j == nil {
 		return false, nil
 	}
-	return true, obs.WriteMergedTrace(w, j.traceID, s.cfg.Tracer, j.SimTrace())
+	return true, s.writeJobTrace(w, j)
+}
+
+func (s *Scheduler) writeJobTrace(w io.Writer, j *job) error {
+	return obs.WriteMergedTrace(w, j.traceID, s.cfg.Tracer, j.SimTrace())
 }

@@ -242,18 +242,33 @@ func (l *eventLog) subscribe(afterID uint64, remote string, buffer int) (*subscr
 	return sub, cancel
 }
 
-// publishState appends a lifecycle event (and closes the stream on a
-// terminal one).
+// publishState appends a lifecycle event to j's log, if it keeps one (and
+// closes the stream on a terminal event).
 func (j *job) publishState(st JobStatus) {
-	if j.events == nil {
-		return
+	if j.events != nil {
+		j.events.publishState(st)
 	}
+}
+
+func (l *eventLog) publishState(st JobStatus) {
 	data, err := json.Marshal(st)
 	if err != nil {
 		return
 	}
 	terminal := st.State == StateDone || st.State == StateFailed
-	j.events.publish(EventState, data, terminal, st.State == StateFailed)
+	l.publish(EventState, data, terminal, st.State == StateFailed)
+}
+
+// streamLog returns the log behind j's event stream. A job served at
+// admission keeps none: its whole stream is the one terminal state event,
+// rebuilt here for the subscriber that asks.
+func (s *Scheduler) streamLog(j *job) *eventLog {
+	if j.events != nil {
+		return j.events
+	}
+	l := newEventLog(j.id, 1, s.streams)
+	l.publishState(j.status())
+	return l
 }
 
 // publishProgress appends a progress event when anything is watching; an
@@ -311,14 +326,9 @@ func (s *Scheduler) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnauthorized, err)
 		return
 	}
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: no such job"))
-		return
+	if j := s.jobOr404(w, r); j != nil {
+		s.serveStream(w, r, s.streamLog(j))
 	}
-	s.serveStream(w, r, j.events)
 }
 
 func (s *Scheduler) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
