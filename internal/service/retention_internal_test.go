@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/store"
 )
 
@@ -315,11 +317,41 @@ func TestEvictedJob404(t *testing.T) {
 	if n := requests.Load(); n != 1 {
 		t.Errorf("WatchJob(evicted) made %d requests, want 1 (no retry)", n)
 	}
+	requests.Store(0)
+	if _, err := c.Wait(context.Background(), evicted, time.Millisecond, nil); err == nil || !strings.Contains(err.Error(), "retained window") {
+		t.Errorf("Wait(evicted) = %v, want the retained-window error", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("Wait(evicted) made %d requests, want 1 (no retry)", n)
+	}
+}
+
+// hold parks the test-hold experiment until release closes.
+var hold struct {
+	sync.Mutex
+	release chan struct{}
+}
+
+func init() {
+	experiments.Register("test-hold", "blocks until released (internal test)", func(o experiments.Options) (*experiments.Result, error) {
+		hold.Lock()
+		release := hold.release
+		hold.Unlock()
+		select {
+		case <-release:
+		case <-o.Context.Done():
+			return nil, o.Context.Err()
+		}
+		tb := report.NewTable("hold", "seed")
+		tb.AddRow(fmt.Sprint(o.Seed))
+		return &experiments.Result{ID: "test-hold", Title: "test", Tables: []*report.Table{tb}}, nil
+	})
 }
 
 // TestShutdownAfterTrafficLeaksNothing: after 10 000 hits, 50 computed
 // jobs, a live SSE subscriber and a batch through a ring of 64, the job and
-// batch tables are within their bounds, Drain returns promptly, and every
+// batch tables are within their bounds; Drain, begun while a job still runs
+// with a subscriber open on its stream, returns promptly; and every
 // goroutine the scheduler and its server started is gone.
 func TestShutdownAfterTrafficLeaksNothing(t *testing.T) {
 	const ringCap, hits, cold = 64, 10000, 50
@@ -378,18 +410,46 @@ func TestShutdownAfterTrafficLeaksNothing(t *testing.T) {
 	if jobs > ringCap+inflight {
 		t.Errorf("job table holds %d, want <= ring %d + in flight %d", jobs, ringCap, inflight)
 	}
-	if batches > 1 {
-		t.Errorf("batch table holds %d, want <= 1", batches)
+	if batches != 0 {
+		t.Errorf("batch table holds %d after its members left the ring, want 0", batches)
 	}
 
+	// Shut down with a job running and a subscriber open on its stream.
+	hold.Lock()
+	hold.release = make(chan struct{})
+	release := hold.release
+	hold.Unlock()
+	held, err := s.Submit(Request{Experiment: "test-hold", Options: fig7Opts(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		js, err := client.WatchJob(context.Background(), held.ID)
+		if err == nil && js.State != StateDone {
+			err = fmt.Errorf("watched job ended %s", js.State)
+		}
+		watched <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.streams.active.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscriber never connected")
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	if err := s.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	<-s.DrainBegun()
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v after %v", err, time.Since(start))
 	}
-	if n := ended.Load(); n != hits+cold+2 {
-		t.Errorf("%d jobs ended, want %d", n, hits+cold+2)
+	if err := <-watched; err != nil {
+		t.Fatalf("watch across Drain: %v", err)
+	}
+	if n := ended.Load(); n != hits+cold+3 {
+		t.Errorf("%d jobs ended, want %d", n, hits+cold+3)
 	}
 	srv.Close()
 	srv.Client().CloseIdleConnections()
