@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -83,17 +84,17 @@ type Node struct {
 	// after a stream failover.
 	aliases map[string]string
 
+	// met counts routing and replication events; WriteMetricsText and
+	// Status read it at scrape time.
 	met struct {
-		sync.Mutex
-		rec            *obs.Recorder
-		forwarded      *obs.Counter // requests proxied to an owner
-		local          *obs.Counter // owned requests served locally
-		fallbackLocal  *obs.Counter // unowned submits computed locally (owners dead)
-		forwardFailed  *obs.Counter // proxy attempts that failed over
-		replicatedOut  *obs.Counter // entries pushed to successors
-		replicatedIn   *obs.Counter // entries accepted from an owner
-		replicateFails *obs.Counter // pushes that failed after retries
-		readRepairs    *obs.Counter // misses repaired from a peer copy
+		forwarded      atomic.Uint64 // requests proxied to an owner
+		local          atomic.Uint64 // owned requests served locally
+		fallbackLocal  atomic.Uint64 // unowned submits computed locally (owners dead)
+		forwardFailed  atomic.Uint64 // proxy attempts that failed over
+		replicatedOut  atomic.Uint64 // entries pushed to successors
+		replicatedIn   atomic.Uint64 // entries accepted from an owner
+		replicateFails atomic.Uint64 // pushes that failed after retries
+		readRepairs    atomic.Uint64 // misses repaired from a peer copy
 	}
 }
 
@@ -134,16 +135,6 @@ func New(cfg Config) (*Node, error) {
 		httpc := peerHTTPClient(cfg.HTTP, cfg.Faults, u, cfg.Log)
 		n.peers[u] = newPeer(u, cfg.Self, httpc, cfg.Tracer, cfg.Log)
 	}
-	rec := obs.New(obs.Config{Metrics: true})
-	n.met.rec = rec
-	n.met.forwarded = rec.Counter("cluster", "requests_forwarded", "")
-	n.met.local = rec.Counter("cluster", "requests_local", "")
-	n.met.fallbackLocal = rec.Counter("cluster", "fallback_local", "")
-	n.met.forwardFailed = rec.Counter("cluster", "forward_failures", "")
-	n.met.replicatedOut = rec.Counter("cluster", "replicated_out", "")
-	n.met.replicatedIn = rec.Counter("cluster", "replicated_in", "")
-	n.met.replicateFails = rec.Counter("cluster", "replicate_failures", "")
-	n.met.readRepairs = rec.Counter("cluster", "read_repairs", "")
 	if cfg.HealthInterval >= 0 {
 		interval := cfg.HealthInterval
 		if interval == 0 {
@@ -153,13 +144,6 @@ func New(cfg Config) (*Node, error) {
 		go n.healthLoop(interval)
 	}
 	return n, nil
-}
-
-// count increments one cluster metric under the metrics lock.
-func (n *Node) count(c *obs.Counter) {
-	n.met.Lock()
-	c.Inc()
-	n.met.Unlock()
 }
 
 // Close stops the health checker and waits for in-flight replication
@@ -300,7 +284,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, p *peer, body []b
 	resp, err := p.httpc().Do(req)
 	if err != nil {
 		p.markDown(err)
-		n.count(n.met.forwardFailed)
+		n.met.forwardFailed.Add(1)
 		n.cfg.Log.Warn("forward failed, peer marked down", "peer", p.url,
 			"method", r.Method, "path", r.URL.Path, "error", err)
 		sp.Annotate("outcome", "failover")
@@ -312,13 +296,13 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, p *peer, body []b
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		p.markDown(err)
-		n.count(n.met.forwardFailed)
+		n.met.forwardFailed.Add(1)
 		sp.Annotate("outcome", "failover")
 		sp.Annotate("error", err.Error())
 		sp.End()
 		return nil, false
 	}
-	n.count(n.met.forwarded)
+	n.met.forwarded.Add(1)
 	sp.Annotate("outcome", "relayed")
 	sp.Annotate("status", strconv.Itoa(resp.StatusCode))
 	sp.End()
@@ -360,7 +344,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	key := store.ResultKey(req.Experiment, req.Key(), n.cfg.Sched.Fingerprint())
 	owners := n.ring.Owners(key, n.cfg.Replicas)
 	if r.Header.Get(ForwardedHeader) != "" || owners[0] == n.cfg.Self {
-		n.count(n.met.local)
+		n.met.local.Add(1)
 		n.serveLocal(w, r, body)
 		return
 	}
@@ -390,11 +374,11 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		selfOwns = selfOwns || o == n.cfg.Self
 	}
 	if !selfOwns {
-		n.count(n.met.fallbackLocal)
+		n.met.fallbackLocal.Add(1)
 		n.cfg.Log.Warn("all owners unreachable, computing locally",
 			"key", store.ShortKey(key), "owners", fmt.Sprint(owners))
 	} else {
-		n.count(n.met.local)
+		n.met.local.Add(1)
 	}
 	n.serveLocal(w, r, body)
 }
@@ -522,7 +506,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wire, ok, _ := n.cfg.Store.GetBytes(r.Context(), key); ok {
-		n.count(n.met.local)
+		n.met.local.Add(1)
 		writeResult(w, wire)
 		return
 	}
@@ -546,8 +530,8 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 			n.cfg.Log.Warn("peer served a result that fails verification", "key", store.ShortKey(key), "peer", o)
 			continue
 		}
-		n.count(n.met.forwarded)
-		n.count(n.met.readRepairs)
+		n.met.forwarded.Add(1)
+		n.met.readRepairs.Add(1)
 		wire, perr := n.cfg.Store.PutCtx(r.Context(), e)
 		if perr != nil {
 			n.cfg.Log.Warn("read-repair write failed", "key", store.ShortKey(key), "error", perr)
@@ -589,7 +573,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		clusterWriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	n.count(n.met.replicatedIn)
+	n.met.replicatedIn.Add(1)
 	n.cfg.Log.Info("accepted replicated entry", "key", store.ShortKey(key), "from", r.Header.Get(ForwardedHeader))
 	clusterWriteJSON(w, http.StatusOK, map[string]string{"key": key, "status": "replicated"})
 }
@@ -604,9 +588,20 @@ func (n *Node) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 
 // WriteMetricsText dumps the cluster counters in Prometheus text format.
 func (n *Node) WriteMetricsText(w io.Writer) error {
-	n.met.Lock()
-	defer n.met.Unlock()
-	return n.met.rec.WritePrometheusText(w)
+	rec := obs.New(obs.Config{Metrics: true})
+	for name, c := range map[string]*atomic.Uint64{
+		"requests_forwarded": &n.met.forwarded,
+		"requests_local":     &n.met.local,
+		"fallback_local":     &n.met.fallbackLocal,
+		"forward_failures":   &n.met.forwardFailed,
+		"replicated_out":     &n.met.replicatedOut,
+		"replicated_in":      &n.met.replicatedIn,
+		"replicate_failures": &n.met.replicateFails,
+		"read_repairs":       &n.met.readRepairs,
+	} {
+		rec.Counter("cluster", name, "").Add(c.Load())
+	}
+	return rec.WritePrometheusText(w)
 }
 
 // JobStateHook is the service.Config.StateHook half of replication: wire it
@@ -651,12 +646,12 @@ func (n *Node) replicate(key, traceID string) {
 			continue
 		}
 		if err := p.client.PutResult(ctx, key, wire); err != nil {
-			n.count(n.met.replicateFails)
+			n.met.replicateFails.Add(1)
 			n.cfg.Log.Warn("replication push failed", "key", store.ShortKey(key), "peer", o, "error", err)
 			continue
 		}
 		pushed++
-		n.count(n.met.replicatedOut)
+		n.met.replicatedOut.Add(1)
 	}
 	sp.Annotate("pushed", strconv.Itoa(pushed))
 	sp.End()
@@ -692,19 +687,18 @@ func (n *Node) Status() Status {
 		VNodes:   n.ring.VNodes(),
 		RingSeed: n.ring.Seed(),
 		Shares:   n.ring.Shares(),
+
+		Forwarded:         n.met.forwarded.Load(),
+		Local:             n.met.local.Load(),
+		FallbackLocal:     n.met.fallbackLocal.Load(),
+		ForwardFailures:   n.met.forwardFailed.Load(),
+		ReplicatedOut:     n.met.replicatedOut.Load(),
+		ReplicatedIn:      n.met.replicatedIn.Load(),
+		ReplicateFailures: n.met.replicateFails.Load(),
+		ReadRepairs:       n.met.readRepairs.Load(),
 	}
 	for _, u := range n.peerURLs() {
 		st.Peers = append(st.Peers, n.peers[u].status())
 	}
-	n.met.Lock()
-	st.Forwarded = n.met.forwarded.Value()
-	st.Local = n.met.local.Value()
-	st.FallbackLocal = n.met.fallbackLocal.Value()
-	st.ForwardFailures = n.met.forwardFailed.Value()
-	st.ReplicatedOut = n.met.replicatedOut.Value()
-	st.ReplicatedIn = n.met.replicatedIn.Value()
-	st.ReplicateFailures = n.met.replicateFails.Value()
-	st.ReadRepairs = n.met.readRepairs.Value()
-	n.met.Unlock()
 	return st
 }

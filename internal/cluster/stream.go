@@ -96,7 +96,7 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 	resp, err := p.httpc().Do(req)
 	if err != nil {
 		p.markDown(err)
-		n.count(n.met.forwardFailed)
+		n.met.forwardFailed.Add(1)
 		n.cfg.Log.Warn("stream forward failed to connect, peer marked down",
 			"peer", p.url, "job", id, "error", err)
 		sp.Annotate("outcome", "failover")
@@ -111,7 +111,7 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 		}
 		w.WriteHeader(resp.StatusCode)
 		w.Write(data)
-		n.count(n.met.forwarded)
+		n.met.forwarded.Add(1)
 		sp.Annotate("outcome", "relayed")
 		return true, true
 	}
@@ -120,7 +120,7 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 	}
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(resp.StatusCode)
-	n.count(n.met.forwarded)
+	n.met.forwarded.Add(1)
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
 		flusher.Flush()
@@ -147,7 +147,7 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 				return true, true
 			}
 			p.markDown(rerr)
-			n.count(n.met.forwardFailed)
+			n.met.forwardFailed.Add(1)
 			n.cfg.Log.Warn("stream forward broke mid-flight, failing over",
 				"peer", p.url, "job", id, "error", rerr)
 			sp.Annotate("outcome", "failover")
@@ -189,7 +189,7 @@ func (n *Node) failoverStream(w http.ResponseWriter, r *http.Request, id string,
 		return
 	}
 	n.aliasJob(id, js.ID)
-	n.count(n.met.fallbackLocal)
+	n.met.fallbackLocal.Add(1)
 	n.cfg.Log.Warn("stream owner unreachable, recomputing locally",
 		"job", id, "local_job", js.ID)
 	r2 := r.Clone(r.Context())

@@ -13,7 +13,11 @@
 // Recorders are single-goroutine by design: each simulation run owns its
 // own Recorder (the experiment runner hands one to every (sweep-point, run)
 // job), and a Sink merges them afterwards in deterministic index order, so
-// aggregated output is byte-identical at any parallelism level.
+// aggregated output is byte-identical at any parallelism level. They stay
+// that way. A concurrent owner, such as the serving tier's scheduler, store
+// or cluster node, counts in atomic fields of its own and copies them into
+// a throwaway Recorder when scraped; the one Recorder shared under a lock
+// is the scheduler's job-latency histogram.
 package obs
 
 import (

@@ -40,6 +40,7 @@ type admitQueue struct {
 	aging    time.Duration
 	closed   bool
 	size     int
+	maxSize  int // high-water mark of size
 	tenants  map[string]*tenantQueue
 	// serveSeq orders pops; each tenant's lastServed is the serveSeq of its
 	// most recent dequeue, and fairness prefers the smallest.
@@ -61,10 +62,11 @@ func newAdmitQueue(capacity int, aging time.Duration) *admitQueue {
 	return q
 }
 
-func (q *admitQueue) Len() int {
+// depth returns the queue's length and its high-water mark.
+func (q *admitQueue) depth() (n, max int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size
+	return q.size, q.maxSize
 }
 
 func (q *admitQueue) Cap() int { return q.capacity }
@@ -144,6 +146,7 @@ func (q *admitQueue) push(j *job) bool {
 	}
 	tq.jobs = append(tq.jobs, j)
 	q.size++
+	q.maxSize = max(q.maxSize, q.size)
 	q.cond.Signal()
 	return true
 }

@@ -226,8 +226,8 @@ const retainedJobs = 4096
 // jobCounts tallies jobs by lifecycle state as they move between states:
 // queued and running are live counts, done and failed only grow. Every
 // admitted job is in exactly one state, so their sum is every job admitted
-// since the scheduler started.
-type jobCounts struct{ queued, running, done, failed atomic.Int64 }
+// since the scheduler started. runningMax is running's high-water mark.
+type jobCounts struct{ queued, running, done, failed, runningMax atomic.Int64 }
 
 func (c *jobCounts) of(st State) *atomic.Int64 {
 	switch st {
@@ -353,7 +353,11 @@ func (j *job) status() JobStatus {
 // setStateLocked moves j to st and the per-state counts with it; j.mu held.
 func (j *job) setStateLocked(st State) {
 	j.counts.of(j.state).Add(-1)
-	j.counts.of(st).Add(1)
+	if n := j.counts.of(st).Add(1); st == StateRunning {
+		for m := j.counts.runningMax.Load(); n > m && !j.counts.runningMax.CompareAndSwap(m, n); {
+			m = j.counts.runningMax.Load()
+		}
+	}
 	j.state = st
 }
 
@@ -426,22 +430,18 @@ type Scheduler struct {
 	nextBatch int
 	draining  bool
 
-	// met guards the obs registry: obs recorders are single-goroutine by
-	// design, and here workers and scrape handlers share one.
+	// met counts scheduler events; WriteMetricsText and Status read it at
+	// scrape time, so counting takes no lock.
 	met struct {
+		submitted, rejected, failed, retried atomic.Uint64
+		hits, misses, coalesced, batches     atomic.Uint64
+	}
+	// latency is the one locked series: obs recorders are single-goroutine,
+	// and the job-latency histogram is observed once per computed job.
+	latency struct {
 		sync.Mutex
-		rec        *obs.Recorder
-		submitted  *obs.Counter
-		rejected   *obs.Counter
-		failed     *obs.Counter
-		retried    *obs.Counter
-		hits       *obs.Counter
-		misses     *obs.Counter
-		queueDepth *obs.Gauge
-		inflight   *obs.Gauge
-		latency    *obs.Histogram
-		coalesced  *obs.Counter
-		batches    *obs.Counter
+		rec *obs.Recorder
+		h   *obs.Histogram
 	}
 }
 
@@ -488,31 +488,13 @@ func New(cfg Config) (*Scheduler, error) {
 	doneCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.doneCtx = doneCtx
-	rec := obs.New(obs.Config{Metrics: true})
-	s.met.rec = rec
-	s.met.submitted = rec.Counter("service", "jobs_submitted", "")
-	s.met.rejected = rec.Counter("service", "jobs_rejected", "")
-	s.met.failed = rec.Counter("service", "jobs_failed", "")
-	s.met.retried = rec.Counter("service", "jobs_retried", "")
-	s.met.hits = rec.Counter("service", "cache_hits", "")
-	s.met.misses = rec.Counter("service", "cache_misses", "")
-	s.met.queueDepth = rec.Gauge("service", "queue_depth", "")
-	s.met.inflight = rec.Gauge("service", "inflight_jobs", "")
-	s.met.latency = rec.Histogram("service", "job_latency_seconds", "", obs.ExpBuckets(0.001, 4, 12))
-	s.met.coalesced = rec.Counter("service", "jobs_coalesced", "")
-	s.met.batches = rec.Counter("service", "coalesced_batches", "")
+	s.latency.rec = obs.New(obs.Config{Metrics: true})
+	s.latency.h = s.latency.rec.Histogram("service", "job_latency_seconds", "", obs.ExpBuckets(0.001, 4, 12))
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
-}
-
-// metric runs f under the metrics lock.
-func (s *Scheduler) metric(f func()) {
-	s.met.Lock()
-	f()
-	s.met.Unlock()
 }
 
 // notify fans out j's current status after a lifecycle transition: the
@@ -604,7 +586,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if !experiments.Known(req.Experiment) {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownExperiment, req.Experiment, experiments.IDs())
 	}
-	s.metric(func() { s.met.submitted.Inc() })
+	s.met.submitted.Add(1)
 	key := store.ResultKey(req.Experiment, req.Options, s.cfg.Fingerprint)
 	traceID := s.resolveTraceID(ctx, req)
 
@@ -615,7 +597,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 		s.mu.Lock()
 		j := s.registerLocked(req, key, traceID, true)
 		s.mu.Unlock()
-		s.metric(func() { s.met.hits.Inc() })
+		s.met.hits.Add(1)
 		if j.log.Enabled() {
 			j.log.Info("job served from cache at admission", "experiment", req.Experiment, "state", StateDone)
 		}
@@ -626,7 +608,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.metric(func() { s.met.rejected.Inc() })
+		s.met.rejected.Add(1)
 		s.logFor(traceID).Warn("submission rejected: draining", "experiment", req.Experiment)
 		return nil, ErrDraining
 	}
@@ -636,7 +618,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	held, err := s.tenants.acquire(req.Tenant, s.queue.TenantDepth(req.Tenant))
 	if err != nil {
 		s.mu.Unlock()
-		s.metric(func() { s.met.rejected.Inc() })
+		s.met.rejected.Add(1)
 		s.logFor(traceID).Warn("submission rejected: tenant over quota",
 			"experiment", req.Experiment, "tenant", req.Tenant, "error", err)
 		return nil, err
@@ -655,12 +637,11 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if full {
 		j.cancel()
 		s.releaseQuota(j)
-		s.metric(func() { s.met.rejected.Inc() })
+		s.met.rejected.Add(1)
 		j.log.Warn("submission rejected: queue full", "experiment", req.Experiment, "capacity", s.queue.Cap())
 		return nil, &QueueFullError{Capacity: s.queue.Cap()}
 	}
-	depth := s.queue.Len()
-	s.metric(func() { s.met.queueDepth.Set(int64(depth)) })
+	depth, _ := s.queue.depth()
 	j.log.Info("job queued", "experiment", req.Experiment, "state", StateQueued, "queue_depth", depth,
 		"tenant", j.tenant, "priority", j.priority)
 	s.notify(j)
@@ -808,8 +789,6 @@ func (s *Scheduler) worker() {
 		if !ok {
 			return
 		}
-		depth := s.queue.Len()
-		s.metric(func() { s.met.queueDepth.Set(int64(depth)) })
 		s.runBatch(batch)
 	}
 }
@@ -823,7 +802,7 @@ func (s *Scheduler) worker() {
 // followers nothing but their place in line.
 func (s *Scheduler) runBatch(batch []*job) {
 	if len(batch) > 1 {
-		s.metric(func() { s.met.batches.Inc() })
+		s.met.batches.Add(1)
 		batch[0].log.Info("batch admission coalesced identical submissions",
 			"followers", len(batch)-1, "experiment", batch[0].experiment)
 	}
@@ -842,7 +821,7 @@ func (s *Scheduler) runBatch(batch []*job) {
 			f.queueSpan.End()
 			if err := f.ctx.Err(); err != nil {
 				f.fail(err)
-				s.metric(func() { s.met.failed.Inc() })
+				s.met.failed.Add(1)
 				f.log.Warn("job cancelled before start", "error", err)
 				s.notify(f)
 				continue
@@ -851,7 +830,7 @@ func (s *Scheduler) runBatch(batch []*job) {
 			f.coalesced = true
 			f.mu.Unlock()
 			f.finish(resultKey, true)
-			s.metric(func() { s.met.coalesced.Inc() })
+			s.met.coalesced.Add(1)
 			f.log.Info("job served from coalesced batch", "leader", leader.id, "state", StateDone)
 			s.notify(f)
 		}
@@ -867,13 +846,11 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 	j.queueSpan.End()
 	if err := j.ctx.Err(); err != nil {
 		j.fail(err)
-		s.metric(func() { s.met.failed.Inc() })
+		s.met.failed.Add(1)
 		j.log.Warn("job cancelled before start", "error", err)
 		s.notify(j)
 		return "", false
 	}
-	s.metric(func() { s.met.inflight.Add(1) })
-	defer s.metric(func() { s.met.inflight.Add(-1) })
 
 	start := time.Now()
 	for {
@@ -887,14 +864,12 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 		if err == nil {
 			sp.Annotate("outcome", "done")
 			sp.End()
-			s.metric(func() {
-				s.met.latency.Observe(time.Since(start).Seconds())
-				if hit {
-					s.met.hits.Inc()
-				} else {
-					s.met.misses.Inc()
-				}
-			})
+			s.observeLatency(start)
+			if hit {
+				s.met.hits.Add(1)
+			} else {
+				s.met.misses.Add(1)
+			}
 			j.finish(j.cacheKey, hit)
 			j.log.Info("job done", "attempt", attempt, "cached", hit, "state", StateDone,
 				"elapsed_seconds", time.Since(start).Seconds())
@@ -908,20 +883,25 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 		}
 		sp.End()
 		if j.ctx.Err() == nil && j.attempts() <= s.cfg.JobRetries {
-			s.metric(func() { s.met.retried.Inc() })
+			s.met.retried.Add(1)
 			j.log.Warn("attempt failed, retrying", "attempt", attempt, "error", err)
 			continue
 		}
-		s.metric(func() {
-			s.met.latency.Observe(time.Since(start).Seconds())
-			s.met.failed.Inc()
-		})
+		s.observeLatency(start)
+		s.met.failed.Add(1)
 		j.fail(err)
 		j.log.Error("job failed", "attempt", attempt, "state", StateFailed, "error", err,
 			"elapsed_seconds", time.Since(start).Seconds())
 		s.notify(j)
 		return "", false
 	}
+}
+
+// observeLatency records one computed job's wall time since start.
+func (s *Scheduler) observeLatency(start time.Time) {
+	s.latency.Lock()
+	s.latency.h.Observe(time.Since(start).Seconds())
+	s.latency.Unlock()
 }
 
 func (j *job) attempts() int {
@@ -1041,31 +1021,47 @@ func (s *Scheduler) simParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WriteMetricsText dumps the scheduler's obs registry followed by the
-// store's self-metrics, the stream fan-out counters, the tenant quotas, and
-// (when armed) the fault injector's per-class fire counters, all in
-// Prometheus text format; /metricsz serves it. The registries use disjoint
-// subsystems, so the concatenation is a valid exposition.
+// WriteMetricsText writes /metricsz: the scheduler's section, then the
+// store's, the stream fan-out, the tenant quotas and (when armed) the fault
+// injector's, each rendered at scrape time from counts its owner keeps.
+// The sections use disjoint subsystems, so the concatenation is a valid
+// Prometheus exposition.
 func (s *Scheduler) WriteMetricsText(w io.Writer) error {
-	s.met.Lock()
-	err := s.met.rec.WritePrometheusText(w)
-	s.met.Unlock()
-	if err != nil {
+	c := s.counters()
+	rec := obs.New(obs.Config{Metrics: true})
+	rec.Counter("service", "jobs_submitted", "").Add(c.Submitted)
+	rec.Counter("service", "jobs_rejected", "").Add(c.Rejected)
+	rec.Counter("service", "jobs_failed", "").Add(c.Failed)
+	rec.Counter("service", "jobs_retried", "").Add(c.Retried)
+	rec.Counter("service", "cache_hits", "").Add(c.CacheHits)
+	rec.Counter("service", "cache_misses", "").Add(c.CacheMisses)
+	rec.Counter("service", "jobs_coalesced", "").Add(c.Coalesced)
+	rec.Counter("service", "coalesced_batches", "").Add(c.CoalescedBatches)
+	// A gauge renders its value and high-water mark; setting the mark
+	// first leaves both.
+	g := rec.Gauge("service", "inflight_jobs", "")
+	g.Set(s.counts.runningMax.Load())
+	g.Set(c.Inflight)
+	depth, maxDepth := s.queue.depth()
+	g = rec.Gauge("service", "queue_depth", "")
+	g.Set(int64(maxDepth))
+	g.Set(int64(depth))
+	s.latency.Lock()
+	rec.Merge(s.latency.rec)
+	s.latency.Unlock()
+	if err := rec.WritePrometheusText(w); err != nil {
 		return err
 	}
 	if err := s.cfg.Store.WriteMetricsText(w); err != nil {
 		return err
 	}
-	// Stream fan-out counters live in atomics (publishers must never take
-	// the metrics lock on the notify path); render them through a
-	// scrape-time recorder so the exposition format matches the rest.
 	ss := s.streams.status()
-	strec := obs.New(obs.Config{Metrics: true})
-	strec.Gauge("stream", "subscribers", "").Set(ss.Subscribers)
-	strec.Counter("stream", "subscriptions_opened", "").Add(ss.Opened)
-	strec.Counter("stream", "events_published", "").Add(ss.Published)
-	strec.Counter("stream", "events_dropped", "").Add(ss.Dropped)
-	if err := strec.WritePrometheusText(w); err != nil {
+	rec = obs.New(obs.Config{Metrics: true})
+	rec.Gauge("stream", "subscribers", "").Set(ss.Subscribers)
+	rec.Counter("stream", "subscriptions_opened", "").Add(ss.Opened)
+	rec.Counter("stream", "events_published", "").Add(ss.Published)
+	rec.Counter("stream", "events_dropped", "").Add(ss.Dropped)
+	if err := rec.WritePrometheusText(w); err != nil {
 		return err
 	}
 	if err := s.tenants.writeMetricsText(w); err != nil {

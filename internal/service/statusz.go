@@ -55,6 +55,22 @@ type SchedulerCounters struct {
 	CoalescedBatches uint64 `json:"coalesced_batches"`
 }
 
+// counters reads the scheduler's self-metrics. Inflight is the running
+// job count.
+func (s *Scheduler) counters() SchedulerCounters {
+	return SchedulerCounters{
+		Submitted:        s.met.submitted.Load(),
+		Rejected:         s.met.rejected.Load(),
+		Failed:           s.met.failed.Load(),
+		Retried:          s.met.retried.Load(),
+		CacheHits:        s.met.hits.Load(),
+		CacheMisses:      s.met.misses.Load(),
+		Inflight:         s.counts.running.Load(),
+		Coalesced:        s.met.coalesced.Load(),
+		CoalescedBatches: s.met.batches.Load(),
+	}
+}
+
 // FaultStatus reports the fault injector's armed state and per-class fire
 // counts.
 type FaultStatus struct {
@@ -88,6 +104,7 @@ type Status struct {
 
 // Status assembles a point-in-time introspection snapshot.
 func (s *Scheduler) Status() Status {
+	depth, _ := s.queue.depth()
 	st := Status{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Fingerprint:   s.cfg.Fingerprint,
@@ -97,7 +114,7 @@ func (s *Scheduler) Status() Status {
 		WallSpans:     s.cfg.Tracer.Spans(),
 		WallDropped:   s.cfg.Tracer.Dropped(),
 		Queue: QueueStatus{
-			Depth:            s.queue.Len(),
+			Depth:            depth,
 			Capacity:         s.queue.Cap(),
 			AgingStepSeconds: s.cfg.AgingStep.Seconds(),
 			Tenants:          s.queue.TenantDepths(),
@@ -107,19 +124,7 @@ func (s *Scheduler) Status() Status {
 		Jobs:     s.counts.snapshot(),
 	}
 
-	s.met.Lock()
-	st.Scheduler = SchedulerCounters{
-		Submitted:        s.met.submitted.Value(),
-		Rejected:         s.met.rejected.Value(),
-		Failed:           s.met.failed.Value(),
-		Retried:          s.met.retried.Value(),
-		CacheHits:        s.met.hits.Value(),
-		CacheMisses:      s.met.misses.Value(),
-		Inflight:         s.met.inflight.Value(),
-		Coalesced:        s.met.coalesced.Value(),
-		CoalescedBatches: s.met.batches.Value(),
-	}
-	s.met.Unlock()
+	st.Scheduler = s.counters()
 
 	if s.cfg.Faults != nil {
 		st.Faults.Armed = true

@@ -42,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -101,21 +102,28 @@ type Store struct {
 	mem      map[string]*list.Element // key → element whose Value is resident
 	lru      *list.List               // front = most recently used
 	memBytes int64                    // sum of len(wire) over the LRU
-	flights  map[string]*flight
+	// scrapedMemBytes is the largest memBytes a metrics scrape has seen,
+	// rendered as mem_bytes_max.
+	scrapedMemBytes int64
+	flights         map[string]*flight
 
-	// met guards the store's self-metrics registry (obs recorders are
-	// single-goroutine by design).
-	met struct {
-		sync.Mutex
-		rec           *obs.Recorder
-		readErrors    *obs.Counter // disk reads that errored (injected or real)
-		quarantined   *obs.Counter // corrupt/truncated entries moved aside
-		checksumFails *obs.Counter // quarantines caused by checksum mismatch
-		writeDegraded *obs.Counter // Put failures degraded to memory-only
-		readDegraded  *obs.Counter // Get errors degraded to compute-through
-		memBytes      *obs.Gauge   // resident encodings, set at scrape time
-	}
+	// met counts the store's degradation events, indexed like
+	// metricNames; WriteMetricsText and Stats read it at scrape time.
+	met [numMetrics]atomic.Uint64
 }
+
+// The store's self-metrics, as indexes into Store.met.
+const (
+	readErrors    = iota // disk reads that errored (injected or real)
+	quarantined          // corrupt/truncated entries moved aside
+	checksumFails        // quarantines caused by checksum mismatch
+	writeDegraded        // Put failures degraded to memory-only
+	readDegraded         // Get errors degraded to compute-through
+	numMetrics
+)
+
+// metricNames names the self-metrics for Metric and /metricsz.
+var metricNames = [numMetrics]string{"read_errors", "entries_quarantined", "checksum_failures", "writes_degraded", "reads_degraded"}
 
 // resident is one LRU slot: an entry's wire encoding, shared read-only with
 // every reader.
@@ -145,49 +153,42 @@ func OpenConfig(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating cache dir: %w", err)
 	}
-	s := &Store{
+	return &Store{
 		dir:     cfg.Dir,
 		max:     cfg.MaxMem,
 		faults:  cfg.Faults,
 		mem:     map[string]*list.Element{},
 		lru:     list.New(),
 		flights: map[string]*flight{},
-	}
-	rec := obs.New(obs.Config{Metrics: true})
-	s.met.rec = rec
-	s.met.readErrors = rec.Counter("store", "read_errors", "")
-	s.met.quarantined = rec.Counter("store", "entries_quarantined", "")
-	s.met.checksumFails = rec.Counter("store", "checksum_failures", "")
-	s.met.writeDegraded = rec.Counter("store", "writes_degraded", "")
-	s.met.readDegraded = rec.Counter("store", "reads_degraded", "")
-	s.met.memBytes = rec.Gauge("store", "mem_bytes", "")
-	return s, nil
-}
-
-// count increments one self-metric under the metrics lock.
-func (s *Store) count(c *obs.Counter) {
-	s.met.Lock()
-	c.Inc()
-	s.met.Unlock()
+	}, nil
 }
 
 // WriteMetricsText dumps the store's self-metrics in Prometheus text
 // format; the service layer appends it to /metricsz.
 func (s *Store) WriteMetricsText(w io.Writer) error {
-	_, memBytes := s.memUsage()
-	s.met.Lock()
-	defer s.met.Unlock()
-	s.met.memBytes.Set(memBytes)
-	return s.met.rec.WritePrometheusText(w)
+	rec := obs.New(obs.Config{Metrics: true})
+	for i, name := range metricNames {
+		rec.Counter("store", name, "").Add(s.met[i].Load())
+	}
+	s.mu.Lock()
+	s.scrapedMemBytes = max(s.scrapedMemBytes, s.memBytes)
+	g := rec.Gauge("store", "mem_bytes", "")
+	g.Set(s.scrapedMemBytes)
+	g.Set(s.memBytes)
+	s.mu.Unlock()
+	return rec.WritePrometheusText(w)
 }
 
 // Metric returns the current value of one store self-metric by name
 // (read_errors, entries_quarantined, checksum_failures, writes_degraded,
 // reads_degraded); unknown names read zero.
 func (s *Store) Metric(name string) uint64 {
-	s.met.Lock()
-	defer s.met.Unlock()
-	return s.met.rec.FindCounter("store", name, "").Value()
+	for i, n := range metricNames {
+		if n == name {
+			return s.met[i].Load()
+		}
+	}
+	return 0
 }
 
 // Stats is a point-in-time snapshot of the store's health counters, shaped
@@ -211,13 +212,11 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	var st Stats
 	st.MemEntries, st.MemBytes = s.memUsage()
-	s.met.Lock()
-	st.ReadErrors = s.met.readErrors.Value()
-	st.EntriesQuarantined = s.met.quarantined.Value()
-	st.ChecksumFailures = s.met.checksumFails.Value()
-	st.WritesDegraded = s.met.writeDegraded.Value()
-	st.ReadsDegraded = s.met.readDegraded.Value()
-	s.met.Unlock()
+	st.ReadErrors = s.met[readErrors].Load()
+	st.EntriesQuarantined = s.met[quarantined].Load()
+	st.ChecksumFailures = s.met[checksumFails].Load()
+	st.WritesDegraded = s.met[writeDegraded].Load()
+	st.ReadsDegraded = s.met[readDegraded].Load()
 	return st
 }
 
@@ -295,7 +294,7 @@ func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 		return wire, true, nil
 	}
 	if err := s.faults.Err(faults.StoreRead, "store get"); err != nil {
-		s.count(s.met.readErrors)
+		s.met[readErrors].Add(1)
 		s.noteFault(tc, "store.get", faults.StoreRead, key, err)
 		return nil, false, err
 	}
@@ -304,7 +303,7 @@ func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	if err != nil {
-		s.count(s.met.readErrors)
+		s.met[readErrors].Add(1)
 		tc.Logger().Error("store read failed", "key", ShortKey(key), "error", err)
 		return nil, false, err
 	}
@@ -319,7 +318,7 @@ func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 	// (the checksum covers the value, not its whitespace).
 	wire, sum, err := encodeEntry(&e, e.Checksum == "")
 	if err != nil || (e.Checksum != "" && e.Checksum != sum) {
-		s.count(s.met.checksumFails)
+		s.met[checksumFails].Add(1)
 		s.quarantine(tc, key, "checksum mismatch")
 		return nil, false, nil
 	}
@@ -341,7 +340,7 @@ func (s *Store) noteFault(tc *obs.TraceContext, site string, class faults.Class,
 // if the rename fails), so a corrupt entry neither shadows its key nor
 // vanishes before it can be inspected.
 func (s *Store) quarantine(tc *obs.TraceContext, key, why string) {
-	s.count(s.met.quarantined)
+	s.met[quarantined].Add(1)
 	tc.Instant("store", "quarantine", obs.WArg{Key: "key", Val: ShortKey(key)}, obs.WArg{Key: "why", Val: why})
 	tc.Logger().Warn("store entry quarantined", "key", ShortKey(key), "why", why, "fault", faults.CorruptEntry.String())
 	if err := os.Rename(s.Path(key), s.QuarantinePath(key)); err != nil {
@@ -481,7 +480,7 @@ func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func(
 	if err != nil {
 		// Compute-through: the cache is broken for this read, the
 		// simulation is not.
-		s.count(s.met.readDegraded)
+		s.met[readDegraded].Add(1)
 		tc.Logger().Warn("store read degraded to compute-through", "key", ShortKey(key), "error", err)
 	}
 	for {
@@ -515,7 +514,7 @@ func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func(
 			} else if perr != nil {
 				// Degrade to memory-only caching: the result is correct,
 				// only its persistence failed.
-				s.count(s.met.writeDegraded)
+				s.met[writeDegraded].Add(1)
 				tc.Logger().Warn("store write degraded to memory-only", "key", ShortKey(key), "error", perr)
 				s.mu.Lock()
 				s.insert(e.Key, wire)
