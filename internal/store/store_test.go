@@ -390,6 +390,41 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestMetricsMemBytesMax: mem_bytes is the resident byte count when scraped
+// and mem_bytes_max the largest count a scrape has seen, so an eviction
+// between two scrapes lowers the first and not the second.
+func TestMetricsMemBytesMax(t *testing.T) {
+	s, err := Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() string {
+		var b strings.Builder
+		if err := s.WriteMetricsText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if err := s.Put(testEntry(testKey(20), strings.Repeat("x", 1000))); err != nil {
+		t.Fatal(err)
+	}
+	_, peak := s.memUsage()
+	scrape()
+	if err := s.Put(testEntry(testKey(21), "small")); err != nil {
+		t.Fatal(err)
+	}
+	_, now := s.memUsage()
+	text := scrape()
+	for _, want := range []string{
+		fmt.Sprintf("qsm_store_mem_bytes %d\n", now),
+		fmt.Sprintf("qsm_store_mem_bytes_max %d\n", peak),
+	} {
+		if now >= peak || !strings.Contains(text, want) {
+			t.Errorf("/metricsz lacks %q (resident %d, peak %d):\n%s", want, now, peak, text)
+		}
+	}
+}
+
 // barrier holds a transition open until a test has seen every party reach it:
 // parties Arrive (and block), the test Waits for all arrivals, then Releases.
 type barrier struct{ arrival, release sync.WaitGroup }
