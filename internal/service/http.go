@@ -25,7 +25,7 @@ import (
 //	GET    /v1/results/{key}    a cached result entry by content address
 //	GET    /v1/admin/state      scheduler/queue/subscriber introspection
 //	GET    /healthz             liveness + drain state
-//	GET    /metricsz            obs registry as Prometheus text
+//	GET    /metricsz            self-metrics as Prometheus text
 //	GET    /statusz             live introspection snapshot (JSON)
 //
 // Errors are {"error": "..."} with 400 (bad request/unknown experiment),
