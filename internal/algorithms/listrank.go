@@ -110,9 +110,6 @@ func (a ListRank) Program() core.Program {
 		P := ctx.RegisterSpec("rank.P", n, core.LayoutSpec{Kind: core.LayoutBlocked})
 		R := ctx.RegisterSpec("rank.R", n, core.LayoutSpec{Kind: core.LayoutBlocked})
 		F := ctx.RegisterSpec("rank.F", n, core.LayoutSpec{Kind: core.LayoutBlocked})
-		gID := ctx.RegisterSpec("rank.gID", n, core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
-		gSucc := ctx.RegisterSpec("rank.gSucc", n, core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
-		gRank := ctx.RegisterSpec("rank.gRank", n, core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
 		counts := ctx.RegisterSpec("rank.counts", p*p, core.LayoutSpec{Kind: core.LayoutBlocked})
 
 		// Distribute the input: each processor owns the block [lo, hi).
@@ -156,9 +153,8 @@ func (a ListRank) Program() core.Program {
 		}
 		ctx.Sync() // flips of iteration 0 committed
 
-		sBuf := make([]int64, 0, len(active))
-		pBuf := make([]int64, 0, len(active))
-		rBuf := make([]int64, 0, len(active))
+		// sAll, pAll and rAll mirror this processor's partition of S, P and
+		// R: element i's words are at i-lo.
 		var sAll, pAll, rAll []int64
 		if hi > lo {
 			sAll = make([]int64, hi-lo)
@@ -176,14 +172,6 @@ func (a ListRank) Program() core.Program {
 				ctx.ReadLocal(P, lo, pAll)
 				ctx.ReadLocal(R, lo, rAll)
 			}
-			sBuf = sBuf[:0]
-			pBuf = pBuf[:0]
-			rBuf = rBuf[:0]
-			for _, i := range active {
-				sBuf = append(sBuf, sAll[i-lo])
-				pBuf = append(pBuf, pAll[i-lo])
-				rBuf = append(rBuf, rAll[i-lo])
-			}
 			ctx.Compute(cpu.BlockCompact(len(active)))
 
 			// Phase B: candidates (flipped 1, not head, has successor)
@@ -191,11 +179,11 @@ func (a ListRank) Program() core.Program {
 			cand := make([]int, 0, len(active)/2) // positions in active
 			succIdx := make([]int, 0, len(active)/2)
 			for k, i := range active {
-				if i == head || sBuf[k] < 0 || flips[k] != 1 {
+				if i == head || sAll[i-lo] < 0 || flips[k] != 1 {
 					continue
 				}
 				cand = append(cand, k)
-				succIdx = append(succIdx, int(sBuf[k]))
+				succIdx = append(succIdx, int(sAll[i-lo]))
 			}
 			sf := make([]int64, len(cand))
 			sr := make([]int64, len(cand))
@@ -220,13 +208,13 @@ func (a ListRank) Program() core.Program {
 				if sf[ci] != 0 {
 					continue
 				}
-				succ := int(sBuf[k])
-				pred := int(pBuf[k])
+				i := active[k]
+				succ, pred, w := int(sAll[i-lo]), int(pAll[i-lo]), rAll[i-lo]
 				// S[pred] = succ; P[succ] = pred; R[succ] += R[i].
 				sIdx, sVal = append(sIdx, pred), append(sVal, int64(succ))
 				pIdx, pVal = append(pIdx, succ), append(pVal, int64(pred))
-				rIdx, rVal = append(rIdx, succ), append(rVal, sr[ci]+rBuf[k])
-				removedAt[t] = append(removedAt[t], removal{id: active[k], pred: pred, weight: rBuf[k]})
+				rIdx, rVal = append(rIdx, succ), append(rVal, sr[ci]+w)
+				removedAt[t] = append(removedAt[t], removal{id: i, pred: pred, weight: w})
 				removed[k] = true
 			}
 			keep := active[:0]
@@ -273,6 +261,10 @@ func (a ListRank) Program() core.Program {
 			}
 			total += row[r]
 		}
+		// The survivor arrays, sized now that the survivor count is known.
+		gID := ctx.RegisterSpec("rank.gID", int(total), core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
+		gSucc := ctx.RegisterSpec("rank.gSucc", int(total), core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
+		gRank := ctx.RegisterSpec("rank.gRank", int(total), core.LayoutSpec{Kind: core.LayoutSingle, Owner: 0})
 		if hi > lo {
 			if sAll == nil {
 				sAll = make([]int64, hi-lo)
