@@ -18,7 +18,10 @@ on the machine, so a rise is a code change, not CI noise. Each ceiling adds
 a small absolute slack (0.01 allocs/event, 1 B/event) so records that hardly
 allocate, fig7 and runner, are not gated on rounding. Record and check at
 -parallel 1, as the baselines were recorded, so the worker pool's own
-allocations stay out of the ratios.
+allocations stay out of the ratios. A ratio more than 10% (STALE_DROP) plus
+the same slack below its baseline prints a "baseline stale" note, not a
+failure: re-record the baseline, so the gain is held by the +5% ceiling and
+cannot creep back up under the old one unnoticed.
 
 The events/s tolerance is generous (default 25%) because the baseline is
 refreshed on a developer machine while the gate runs on CI hardware;
@@ -42,6 +45,9 @@ import sys
 
 # Allowed fractional rise in allocs/event and bytes/event over the baseline.
 ALLOC_TOLERANCE = 0.05
+# Fractional fall in allocs/event or bytes/event below the baseline that
+# marks the baseline stale.
+STALE_DROP = 0.10
 
 
 def load(path):
@@ -100,6 +106,9 @@ def check_allocs(eid, base, fresh):
             failed = True
         else:
             print(f"ok   {line}")
+        if f < b * (1.0 - STALE_DROP) - slack:
+            print(f"note {eid}: baseline stale: {unit} {f:{fmt}} is {1 - f / b:.0%} below the "
+                  f"record's {b:{fmt}}; re-record BENCH_{eid}.json")
     return failed
 
 
