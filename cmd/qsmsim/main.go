@@ -100,7 +100,7 @@ func main() {
 	var prof *core.Profile
 	var err error
 	if *profile {
-		prof, err = m.RunProfiled(prog, core.Flags{})
+		prof, err = core.RunProfiled(m, prog, core.Flags{})
 	} else {
 		err = m.Run(prog)
 	}

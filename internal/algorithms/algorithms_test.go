@@ -173,7 +173,7 @@ func TestAlgorithmsObeyQSMRules(t *testing.T) {
 		name, prog := name, prog
 		t.Run(name, func(t *testing.T) {
 			m := qsmlib.New(p, qsmlib.Options{Seed: 31})
-			if _, err := m.RunProfiled(prog, core.Flags{CheckRules: true, TrackKappa: true}); err != nil {
+			if _, err := core.RunProfiled(m, prog, core.Flags{CheckRules: true, TrackKappa: true}); err != nil {
 				t.Fatalf("QSM rule violation: %v", err)
 			}
 		})
@@ -187,7 +187,7 @@ func TestPrefixProfileMatchesTheory(t *testing.T) {
 	in := workload.UniformInts(n, 100, 3)
 	alg := PrefixSums{N: n, Input: blockInput(in, n)}
 	m := qsmlib.New(p, qsmlib.Options{Seed: 8})
-	prof, err := m.RunProfiled(alg.Program(), core.Flags{})
+	prof, err := core.RunProfiled(m, alg.Program(), core.Flags{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestMatMulObeysRules(t *testing.T) {
 	bm := workload.UniformInts(n*n, 10, 6)
 	alg := MatMul{N: n, A: matInput(a, n), B: matInput(bm, n)}
 	m := qsmlib.New(p, qsmlib.Options{Seed: 7})
-	if _, err := m.RunProfiled(alg.Program(), core.Flags{CheckRules: true}); err != nil {
+	if _, err := core.RunProfiled(m, alg.Program(), core.Flags{CheckRules: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,7 +119,7 @@ func TestKSelectObeysRules(t *testing.T) {
 	in := workload.UniformInts(n, 100, 55)
 	alg := KSelect{N: n, K: n / 2, Input: blockInput(in, n), GatherAt: 256}
 	m := qsmlib.New(4, qsmlib.Options{Seed: 2})
-	if _, err := m.RunProfiled(alg.Program(), core.Flags{CheckRules: true}); err != nil {
+	if _, err := core.RunProfiled(m, alg.Program(), core.Flags{CheckRules: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,7 +180,7 @@ func TestWyllieObeysRules(t *testing.T) {
 	l := workload.RandomList(500, 37)
 	alg := WyllieListRank{List: l}
 	m := qsmlib.New(4, qsmlib.Options{Seed: 3})
-	if _, err := m.RunProfiled(alg.Program(), core.Flags{CheckRules: true}); err != nil {
+	if _, err := core.RunProfiled(m, alg.Program(), core.Flags{CheckRules: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,7 +300,7 @@ func TestRadixSortObeysRules(t *testing.T) {
 	in := workload.UniformInts(n, 1<<16, 71)
 	alg := RadixSort{N: n, KeyBits: 16, Input: blockInput(in, n)}
 	m := qsmlib.New(4, qsmlib.Options{Seed: 13})
-	if _, err := m.RunProfiled(alg.Program(), core.Flags{CheckRules: true}); err != nil {
+	if _, err := core.RunProfiled(m, alg.Program(), core.Flags{CheckRules: true}); err != nil {
 		t.Fatal(err)
 	}
 }

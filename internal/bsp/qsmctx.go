@@ -78,17 +78,6 @@ func (qm *QSMMachine) PerOwner(h core.Handle, off, n int) []int {
 	return qm.arr(h).lay.PerOwner(off, n)
 }
 
-// RunProfiled executes prog with cost recording.
-func (qm *QSMMachine) RunProfiled(prog core.Program, flags core.Flags) (*core.Profile, error) {
-	col := core.NewCollector(qm.P(), qm, cpu.NewAnalytic(cpu.Table2()), flags)
-	err := qm.Run(func(ctx core.Ctx) { prog(core.NewRecorder(ctx, col)) })
-	profile, perr := col.Finish()
-	if err == nil {
-		err = perr
-	}
-	return profile, err
-}
-
 func (qm *QSMMachine) arr(h core.Handle) *emuArray {
 	if h < 0 || int(h) >= len(qm.arrays) {
 		panic(fmt.Sprintf("bsp: invalid QSM handle %d", h))

@@ -134,7 +134,7 @@ func TestEmulationProfiled(t *testing.T) {
 	in := workload.UniformInts(n, 0, 29)
 	alg := algorithms.PrefixSums{N: n, Input: blockInput(in, n)}
 	qm := NewQSM(p, Options{Seed: 6}, core.LayoutBlocked)
-	prof, err := qm.RunProfiled(alg.Program(), core.Flags{CheckRules: true})
+	prof, err := core.RunProfiled(qm, alg.Program(), core.Flags{CheckRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}

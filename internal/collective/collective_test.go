@@ -152,7 +152,7 @@ func TestCollectiveCostProfile(t *testing.T) {
 	// AllGather's communication is k(p-1) remote words per processor.
 	const p, k = 4, 5
 	m := qsmlib.New(p, qsmlib.Options{Seed: 2})
-	prof, err := m.RunProfiled(func(ctx core.Ctx) {
+	prof, err := core.RunProfiled(m, func(ctx core.Ctx) {
 		g := NewGroup(ctx, "t")
 		g.AllGather(make([]int64, k))
 	}, core.Flags{})

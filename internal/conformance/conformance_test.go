@@ -231,7 +231,7 @@ func TestRandomProgramsObeyRules(t *testing.T) {
 	pl := genPlan(99, p, phases)
 	wantReads, _ := reference(pl, p)
 	sm := qsmlib.New(p, qsmlib.Options{Seed: 99})
-	if _, err := sm.RunProfiled(program(pl, wantReads), core.Flags{CheckRules: true, TrackKappa: true}); err != nil {
+	if _, err := core.RunProfiled(sm, program(pl, wantReads), core.Flags{CheckRules: true, TrackKappa: true}); err != nil {
 		t.Fatalf("rule checker flagged a compliant program: %v", err)
 	}
 }

@@ -19,8 +19,9 @@
 // the maximum local computation at any processor, m_rw the maximum number of
 // shared-memory reads or writes by any processor, and kappa the maximum
 // contention to any single shared location. The symmetric variant s-QSM
-// charges max(m_op, g*m_rw, g*kappa). Package core provides both charges and
-// the per-phase accounting needed to compute them (see Recorder).
+// charges max(m_op, g*m_rw, g*kappa). Package core provides both charges,
+// and BSP's and LogP's, as Model values, and the per-phase accounting that
+// feeds them (see RunProfiled).
 package core
 
 import (

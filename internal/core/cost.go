@@ -57,25 +57,64 @@ func maxOf(xs []uint64) uint64 {
 	return m
 }
 
-// QSMCharge returns the QSM time cost of the phase,
-// max(m_op, g*m_rw, kappa), in operation units.
-func (ph *PhaseProfile) QSMCharge(g float64) float64 {
-	return math.Max(float64(ph.MaxOps()),
-		math.Max(g*float64(ph.MaxRW()), float64(ph.Kappa)))
+// Cost is one phase's charge under a Model, in the model's own unit, split
+// into local computation, communication and synchronization.
+type Cost struct {
+	Compute, Comm, Sync float64
 }
 
-// SQSMCharge returns the s-QSM (symmetric QSM) time cost,
+// Model prices one phase of a profiled run.
+type Model interface {
+	PhaseCost(ph *PhaseProfile) Cost
+}
+
+// QSM charges a phase max(m_op, g*m_rw, kappa), in operation units.
+type QSM struct{ G float64 }
+
+// PhaseCost implements Model.
+func (m QSM) PhaseCost(ph *PhaseProfile) Cost {
+	return Cost{
+		Compute: float64(ph.MaxOps()),
+		Comm:    math.Max(m.G*float64(ph.MaxRW()), float64(ph.Kappa)),
+	}
+}
+
+// SQSM is the symmetric QSM: contention is charged at the gap too,
 // max(m_op, g*m_rw, g*kappa).
-func (ph *PhaseProfile) SQSMCharge(g float64) float64 {
-	return math.Max(float64(ph.MaxOps()),
-		math.Max(g*float64(ph.MaxRW()), g*float64(ph.Kappa)))
+type SQSM struct{ G float64 }
+
+// PhaseCost implements Model.
+func (m SQSM) PhaseCost(ph *PhaseProfile) Cost {
+	return Cost{
+		Compute: float64(ph.MaxOps()),
+		Comm:    math.Max(m.G*float64(ph.MaxRW()), m.G*float64(ph.Kappa)),
+	}
 }
 
-// CommOnlyQSM returns the communication part of the QSM charge,
-// max(g*m_rw, kappa); the paper's prediction lines chart communication time
-// separately from local computation.
-func (ph *PhaseProfile) CommOnlyQSM(g float64) float64 {
-	return math.Max(g*float64(ph.MaxRW()), float64(ph.Kappa))
+// BSP charges a phase max(m_op_cycles, g*h) + L: the h-relation plus the
+// per-phase synchronization term the QSM omits.
+type BSP struct{ G, L float64 }
+
+// PhaseCost implements Model.
+func (m BSP) PhaseCost(ph *PhaseProfile) Cost {
+	return Cost{
+		Compute: float64(ph.MaxOpCycles()),
+		Comm:    m.G * float64(ph.MaxH()),
+		Sync:    m.L,
+	}
+}
+
+// LogP charges a phase max(m_op_cycles, 2*o*msgs + g*h) + l: per-message
+// overhead at sender and receiver, bandwidth, and one pipelined latency.
+type LogP struct{ G, L, O float64 }
+
+// PhaseCost implements Model.
+func (m LogP) PhaseCost(ph *PhaseProfile) Cost {
+	return Cost{
+		Compute: float64(ph.MaxOpCycles()),
+		Comm:    2*m.O*float64(ph.MaxMsgs()) + m.G*float64(ph.MaxH()),
+		Sync:    m.L,
+	}
 }
 
 // Profile is the sequence of phase profiles of a complete run.
@@ -84,59 +123,24 @@ type Profile struct {
 	Phases []*PhaseProfile
 }
 
-// QSMTime sums the QSM charges over all phases.
-func (pr *Profile) QSMTime(g float64) float64 {
+// Time sums m's charge over all phases, max(Compute, Comm) + Sync each:
+// computation and communication overlap, synchronization does not.
+func (pr *Profile) Time(m Model) float64 {
 	var t float64
 	for _, ph := range pr.Phases {
-		t += ph.QSMCharge(g)
+		c := m.PhaseCost(ph)
+		t += math.Max(c.Compute, c.Comm) + c.Sync
 	}
 	return t
 }
 
-// SQSMTime sums the s-QSM charges over all phases.
-func (pr *Profile) SQSMTime(g float64) float64 {
+// CommTime is Time without the local-computation term, Comm + Sync per
+// phase; the paper's prediction lines chart communication separately.
+func (pr *Profile) CommTime(m Model) float64 {
 	var t float64
 	for _, ph := range pr.Phases {
-		t += ph.SQSMCharge(g)
-	}
-	return t
-}
-
-// QSMCommTime sums the communication-only QSM charges over all phases.
-func (pr *Profile) QSMCommTime(g float64) float64 {
-	var t float64
-	for _, ph := range pr.Phases {
-		t += ph.CommOnlyQSM(g)
-	}
-	return t
-}
-
-// BSPTime charges each phase max(m_op_cycles, g*h) + L: the BSP cost with
-// the per-phase synchronization term the QSM omits.
-func (pr *Profile) BSPTime(g float64, l float64) float64 {
-	var t float64
-	for _, ph := range pr.Phases {
-		t += math.Max(float64(ph.MaxOpCycles()), g*float64(ph.MaxH())) + l
-	}
-	return t
-}
-
-// BSPCommTime is BSPTime without the local-computation term:
-// per phase, g*h + L.
-func (pr *Profile) BSPCommTime(g float64, l float64) float64 {
-	var t float64
-	for _, ph := range pr.Phases {
-		t += g*float64(ph.MaxH()) + l
-	}
-	return t
-}
-
-// LogPCommTime charges per phase 2*o*msgs + g*h + l: per-message overhead at
-// sender and receiver, bandwidth, and one pipelined latency per phase.
-func (pr *Profile) LogPCommTime(g, l, o float64) float64 {
-	var t float64
-	for _, ph := range pr.Phases {
-		t += 2*o*float64(ph.MaxMsgs()) + g*float64(ph.MaxH()) + l
+		c := m.PhaseCost(ph)
+		t += c.Comm + c.Sync
 	}
 	return t
 }

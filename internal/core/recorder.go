@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -20,7 +19,29 @@ type Ownership interface {
 	PerOwner(h Handle, off, n int) []int
 }
 
-// Flags selects which (potentially expensive) checks a Collector performs.
+// Backend is a machine whose runs can be profiled: it attributes words to
+// owners and runs a Program on every processor.
+type Backend interface {
+	Ownership
+	P() int
+	Run(Program) error
+}
+
+// RunProfiled runs prog on b with every processor's activity recorded, and
+// returns the phase profile with the run's first error or, failing that,
+// the first bulk-synchrony violation flags asked to check. Local work is
+// costed in cycles by the Table 2 analytic node model.
+func RunProfiled(b Backend, prog Program, flags Flags) (*Profile, error) {
+	col := newCollector(b.P(), b, flags)
+	err := b.Run(func(ctx Ctx) { prog(&recorder{Ctx: ctx, c: col}) })
+	profile, perr := col.finish()
+	if err == nil {
+		err = perr
+	}
+	return profile, err
+}
+
+// Flags selects which (potentially expensive) checks a profiled run performs.
 type Flags struct {
 	// CheckRules verifies the QSM bulk-synchrony contract: no shared word
 	// is both read and written within a single phase.
@@ -30,9 +51,9 @@ type Flags struct {
 	TrackKappa bool
 }
 
-// Collector accumulates phase profiles from the Recorders of all
+// collector accumulates phase profiles from the recorders of all
 // processors. It is safe for concurrent use by the native backend.
-type Collector struct {
+type collector struct {
 	mu    sync.Mutex
 	p     int
 	own   Ownership
@@ -52,20 +73,13 @@ type phaseSpans struct {
 	writes map[Handle][]span
 }
 
-// NewCollector creates a collector for p processors. own attributes accesses
-// (nil disables remote/local classification and traffic accounting); cost
-// converts OpBlocks to cycles (nil uses the Table 2 analytic model).
-func NewCollector(p int, own Ownership, cost cpu.Model, flags Flags) *Collector {
-	if cost == nil {
-		cost = cpu.NewAnalytic(cpu.Table2())
-	}
-	return &Collector{p: p, own: own, cost: cost, flags: flags}
+// newCollector creates a collector for p processors whose accesses own
+// attributes to owners.
+func newCollector(p int, own Ownership, flags Flags) *collector {
+	return &collector{p: p, own: own, cost: cpu.NewAnalytic(cpu.Table2()), flags: flags}
 }
 
-// P returns the processor count.
-func (c *Collector) P() int { return c.p }
-
-func (c *Collector) phase(k int) (*PhaseProfile, *phaseSpans, [][]uint64) {
+func (c *collector) phase(k int) (*PhaseProfile, *phaseSpans, [][]uint64) {
 	for len(c.phases) <= k {
 		c.phases = append(c.phases, &PhaseProfile{
 			Ops:       make([]uint64, c.p),
@@ -88,7 +102,7 @@ func (c *Collector) phase(k int) (*PhaseProfile, *phaseSpans, [][]uint64) {
 	return c.phases[k], c.spans[k], c.traffic[k]
 }
 
-func (c *Collector) recordCompute(proc, phase int, b cpu.OpBlock) {
+func (c *collector) recordCompute(proc, phase int, b cpu.OpBlock) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ph, _, _ := c.phase(phase)
@@ -96,27 +110,23 @@ func (c *Collector) recordCompute(proc, phase int, b cpu.OpBlock) {
 	ph.OpCycles[proc] += c.cost.Cycles(b)
 }
 
-func (c *Collector) recordRange(proc, phase int, h Handle, off, n int, write bool) {
+func (c *collector) recordRange(proc, phase int, h Handle, off, n int, write bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ph, sp, tr := c.phase(phase)
-	if c.own != nil {
-		per := c.own.PerOwner(h, off, n)
-		for owner, w := range per {
-			if w == 0 {
-				continue
-			}
-			if owner != proc {
-				ph.RW[proc] += uint64(w)
-				if write {
-					tr[proc][owner] += uint64(w)
-				} else {
-					tr[owner][proc] += uint64(w) // data flows owner -> reader
-				}
-			}
+	if n == 0 {
+		return // an empty access touches no word; the backends ignore it too
+	}
+	for owner, w := range c.own.PerOwner(h, off, n) {
+		if w == 0 || owner == proc {
+			continue
 		}
-	} else {
-		ph.RW[proc] += uint64(n)
+		ph.RW[proc] += uint64(w)
+		if write {
+			tr[proc][owner] += uint64(w)
+		} else {
+			tr[owner][proc] += uint64(w) // data flows owner -> reader
+		}
 	}
 	if c.flags.CheckRules || c.flags.TrackKappa {
 		m := sp.reads
@@ -127,24 +137,21 @@ func (c *Collector) recordRange(proc, phase int, h Handle, off, n int, write boo
 	}
 }
 
-func (c *Collector) recordIndexed(proc, phase int, h Handle, idx []int, write bool) {
+func (c *collector) recordIndexed(proc, phase int, h Handle, idx []int, write bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ph, sp, tr := c.phase(phase)
-	if c.own != nil {
-		for _, i := range idx {
-			owner := c.own.OwnerOf(h, i)
-			if owner != proc {
-				ph.RW[proc]++
-				if write {
-					tr[proc][owner]++
-				} else {
-					tr[owner][proc]++
-				}
-			}
+	for _, i := range idx {
+		owner := c.own.OwnerOf(h, i)
+		if owner == proc {
+			continue
 		}
-	} else {
-		ph.RW[proc] += uint64(len(idx))
+		ph.RW[proc]++
+		if write {
+			tr[proc][owner]++
+		} else {
+			tr[owner][proc]++
+		}
 	}
 	if c.flags.CheckRules || c.flags.TrackKappa {
 		m := sp.reads
@@ -159,10 +166,10 @@ func (c *Collector) recordIndexed(proc, phase int, h Handle, idx []int, write bo
 	}
 }
 
-// Finish resolves per-phase aggregates (message counts, h-relations, kappa)
+// finish resolves per-phase aggregates (message counts, h-relations, kappa)
 // and returns the run profile. It reports the first bulk-synchrony rule
 // violation found, if rule checking was enabled.
-func (c *Collector) Finish() (*Profile, error) {
+func (c *collector) finish() (*Profile, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, ph := range c.phases {
@@ -256,77 +263,49 @@ func kappaOf(sp *phaseSpans) uint64 {
 	return uint64(best)
 }
 
-// Recorder wraps a backend Ctx and reports every operation to a Collector.
-type Recorder struct {
-	inner Ctx
-	c     *Collector
+// recorder wraps a backend Ctx and reports every shared-memory access,
+// every Compute and every Sync to a collector. The other methods, ReadLocal
+// and WriteLocal among them (private-memory accesses are local computation,
+// not communication), pass straight to the embedded Ctx; a new Ctx method
+// that moves shared words must be recorded here.
+type recorder struct {
+	Ctx
+	c     *collector
 	phase int
 }
 
-// NewRecorder wraps ctx so that its activity is recorded into c.
-func NewRecorder(ctx Ctx, c *Collector) *Recorder {
-	return &Recorder{inner: ctx, c: c}
-}
-
-// ID implements Ctx.
-func (r *Recorder) ID() int { return r.inner.ID() }
-
-// P implements Ctx.
-func (r *Recorder) P() int { return r.inner.P() }
-
-// Register implements Ctx.
-func (r *Recorder) Register(name string, n int) Handle { return r.inner.Register(name, n) }
-
-// RegisterSpec implements Ctx.
-func (r *Recorder) RegisterSpec(name string, n int, spec LayoutSpec) Handle {
-	return r.inner.RegisterSpec(name, n, spec)
-}
-
-// Free implements Ctx.
-func (r *Recorder) Free(h Handle) { r.inner.Free(h) }
-
-// ReadLocal implements Ctx. Private-memory accesses are local computation,
-// so no remote words are recorded.
-func (r *Recorder) ReadLocal(h Handle, off int, dst []int64) { r.inner.ReadLocal(h, off, dst) }
-
-// WriteLocal implements Ctx.
-func (r *Recorder) WriteLocal(h Handle, off int, src []int64) { r.inner.WriteLocal(h, off, src) }
-
 // Put implements Ctx.
-func (r *Recorder) Put(h Handle, off int, src []int64) {
+func (r *recorder) Put(h Handle, off int, src []int64) {
 	r.c.recordRange(r.ID(), r.phase, h, off, len(src), true)
-	r.inner.Put(h, off, src)
+	r.Ctx.Put(h, off, src)
 }
 
 // Get implements Ctx.
-func (r *Recorder) Get(h Handle, off int, dst []int64) {
+func (r *recorder) Get(h Handle, off int, dst []int64) {
 	r.c.recordRange(r.ID(), r.phase, h, off, len(dst), false)
-	r.inner.Get(h, off, dst)
+	r.Ctx.Get(h, off, dst)
 }
 
 // PutIndexed implements Ctx.
-func (r *Recorder) PutIndexed(h Handle, idx []int, src []int64) {
+func (r *recorder) PutIndexed(h Handle, idx []int, src []int64) {
 	r.c.recordIndexed(r.ID(), r.phase, h, idx, true)
-	r.inner.PutIndexed(h, idx, src)
+	r.Ctx.PutIndexed(h, idx, src)
 }
 
 // GetIndexed implements Ctx.
-func (r *Recorder) GetIndexed(h Handle, idx []int, dst []int64) {
+func (r *recorder) GetIndexed(h Handle, idx []int, dst []int64) {
 	r.c.recordIndexed(r.ID(), r.phase, h, idx, false)
-	r.inner.GetIndexed(h, idx, dst)
+	r.Ctx.GetIndexed(h, idx, dst)
 }
 
 // Sync implements Ctx.
-func (r *Recorder) Sync() {
-	r.inner.Sync()
+func (r *recorder) Sync() {
+	r.Ctx.Sync()
 	r.phase++
 }
 
 // Compute implements Ctx.
-func (r *Recorder) Compute(b cpu.OpBlock) {
+func (r *recorder) Compute(b cpu.OpBlock) {
 	r.c.recordCompute(r.ID(), r.phase, b)
-	r.inner.Compute(b)
+	r.Ctx.Compute(b)
 }
-
-// Rand implements Ctx.
-func (r *Recorder) Rand() *rand.Rand { return r.inner.Rand() }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cpu"
 )
 
-// fakeCtx is a minimal single-machine backend for exercising the Recorder:
+// fakeCtx is a minimal single-machine backend for exercising the recorder:
 // shared arrays are flat slices, puts apply at Sync, gets read pre-phase
 // state. One fakeMachine hosts p fakeCtxs driven sequentially.
 type fakeMachine struct {
@@ -81,11 +81,11 @@ var _ Ctx = (*fakeCtx)(nil)
 func driven(t *testing.T, p int, flags Flags, fn func(ctx Ctx)) (*Profile, error) {
 	t.Helper()
 	m := newFakeMachine(p)
-	col := NewCollector(p, m, nil, flags)
+	col := newCollector(p, m, flags)
 	for id := 0; id < p; id++ {
-		fn(NewRecorder(&fakeCtx{m: m, id: id, rng: rand.New(rand.NewSource(int64(id)))}, col))
+		fn(&recorder{Ctx: &fakeCtx{m: m, id: id, rng: rand.New(rand.NewSource(int64(id)))}, c: col})
 	}
-	return col.Finish()
+	return col.finish()
 }
 
 func TestRecorderCountsRemoteAndLocal(t *testing.T) {
@@ -190,6 +190,24 @@ func TestCollectorRuleCleanPasses(t *testing.T) {
 	}
 }
 
+// An empty Put touches no word, so it cannot conflict with a read that
+// covers its offset.
+func TestCollectorEmptyPutIsNoViolation(t *testing.T) {
+	_, err := driven(t, 2, Flags{CheckRules: true}, func(ctx Ctx) {
+		h := ctx.Register("a", 8)
+		ctx.Sync()
+		if ctx.ID() == 0 {
+			ctx.Put(h, 5, nil)
+		} else {
+			ctx.Get(h, 3, make([]int64, 3)) // [3,6) covers offset 5
+		}
+		ctx.Sync()
+	})
+	if err != nil {
+		t.Fatalf("empty put flagged: %v", err)
+	}
+}
+
 func TestCollectorKappaMixedSpansAndPoints(t *testing.T) {
 	prof, err := driven(t, 3, Flags{TrackKappa: true}, func(ctx Ctx) {
 		h := ctx.Register("a", 10)
@@ -230,22 +248,5 @@ func TestRecorderLocalOpsPassThrough(t *testing.T) {
 		if ph.MaxRW() != 0 {
 			t.Error("local accesses must not count as remote")
 		}
-	}
-}
-
-func TestCollectorNilOwnership(t *testing.T) {
-	col := NewCollector(2, nil, nil, Flags{})
-	ctx := NewRecorder(&fakeCtx{m: newFakeMachine(2), id: 0}, col)
-	h := ctx.Register("a", 4)
-	ctx.Sync()
-	ctx.Put(h, 0, []int64{1, 2})
-	ctx.Sync()
-	prof, err := col.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without ownership info, every word counts as m_rw.
-	if rw := prof.Phases[1].MaxRW(); rw != 2 {
-		t.Errorf("m_rw = %d, want 2 (conservative)", rw)
 	}
 }

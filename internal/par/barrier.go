@@ -4,6 +4,12 @@
 // simulated machine — puts become visible at Sync, gets read the state the
 // phase started with — so an algorithm validated on the simulator runs
 // unchanged, in parallel, on real hardware.
+//
+// It has two jobs. It is the independent reference of the conformance
+// checks: it shares no code with the superstep exchange that the simulated
+// machine and the QSM-on-BSP emulation both end their phases with, so a
+// bug there cannot hide in it. And it is the native runtime that
+// examples/quickstart and examples/sorting run on.
 package par
 
 import (

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/stats"
 )
 
@@ -21,8 +20,8 @@ type Options struct {
 // Machine is a native QSM machine of p goroutine processors over a shared
 // address space. Shared arrays default to a blocked layout (word i of an
 // n-word array is owned by processor min(i/ceil(n/p), p-1)); RegisterSpec
-// selects others. It implements core.Ownership so runs can be cost-profiled
-// with core.NewRecorder.
+// selects others. It implements core.Backend so runs can be cost-profiled
+// with core.RunProfiled.
 type Machine struct {
 	p       int
 	opts    Options
@@ -98,18 +97,6 @@ func (m *Machine) Run(prog core.Program) error {
 		}
 	}
 	return nil
-}
-
-// RunProfiled executes prog with cost recording and returns the phase
-// profile alongside any bulk-synchrony violation or panic.
-func (m *Machine) RunProfiled(prog core.Program, flags core.Flags) (*core.Profile, error) {
-	col := core.NewCollector(m.p, m, cpu.NewAnalytic(cpu.Table2()), flags)
-	err := m.Run(func(ctx core.Ctx) { prog(core.NewRecorder(ctx, col)) })
-	profile, perr := col.Finish()
-	if err == nil {
-		err = perr
-	}
-	return profile, err
 }
 
 // Array returns the backing data of a registered array, for inspection

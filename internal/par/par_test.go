@@ -249,7 +249,7 @@ func TestOwnership(t *testing.T) {
 
 func TestRunProfiledCountsRemoteWords(t *testing.T) {
 	m := NewMachine(4, Options{})
-	prof, err := m.RunProfiled(func(ctx core.Ctx) {
+	prof, err := core.RunProfiled(m, func(ctx core.Ctx) {
 		h := ctx.Register("a", 4) // one word per proc
 		ctx.Sync()
 		ctx.Put(h, ctx.ID(), []int64{1}) // local: no communication
@@ -282,7 +282,7 @@ func TestRunProfiledCountsRemoteWords(t *testing.T) {
 
 func TestRunProfiledDetectsRuleViolation(t *testing.T) {
 	m := NewMachine(2, Options{})
-	_, err := m.RunProfiled(func(ctx core.Ctx) {
+	_, err := core.RunProfiled(m, func(ctx core.Ctx) {
 		h := ctx.Register("a", 2)
 		ctx.Sync()
 		if ctx.ID() == 0 {
@@ -300,7 +300,7 @@ func TestRunProfiledDetectsRuleViolation(t *testing.T) {
 
 func TestRunProfiledKappa(t *testing.T) {
 	m := NewMachine(4, Options{})
-	prof, err := m.RunProfiled(func(ctx core.Ctx) {
+	prof, err := core.RunProfiled(m, func(ctx core.Ctx) {
 		h := ctx.Register("a", 8)
 		ctx.Sync()
 		d := make([]int64, 1)

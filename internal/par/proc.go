@@ -189,7 +189,7 @@ func (pc *proc) Sync() {
 }
 
 // Compute is a no-op on the native backend: the local work is real. The
-// charge is still observable through a core.Recorder wrapper.
+// charge is still observable through core.RunProfiled.
 func (pc *proc) Compute(cpu.OpBlock) {}
 
 func (pc *proc) bounds(a *array, off, n int) {

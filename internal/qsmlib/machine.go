@@ -89,17 +89,6 @@ func (m *Machine) Run(prog core.Program) error {
 	})
 }
 
-// RunProfiled executes prog with cost recording.
-func (m *Machine) RunProfiled(prog core.Program, flags core.Flags) (*core.Profile, error) {
-	col := core.NewCollector(m.P(), m, cpu.NewAnalytic(cpu.Table2()), flags)
-	err := m.Run(func(ctx core.Ctx) { prog(core.NewRecorder(ctx, col)) })
-	profile, perr := col.Finish()
-	if err == nil {
-		err = perr
-	}
-	return profile, err
-}
-
 // Timeline returns node id's per-phase sync spans from the last Run: when
 // each Sync began and ended in simulated time and how much it moved.
 // Useful for visualising where a program's time goes.

@@ -473,7 +473,7 @@ func TestTreeBarrierOption(t *testing.T) {
 
 func TestRunProfiledRemoteClassification(t *testing.T) {
 	m := New(4, Options{Seed: 8})
-	prof, err := m.RunProfiled(func(ctx core.Ctx) {
+	prof, err := core.RunProfiled(m, func(ctx core.Ctx) {
 		h := ctx.Register("a", 4)
 		ctx.Sync()
 		ctx.Put(h, ctx.ID(), []int64{1}) // local under Blocked
