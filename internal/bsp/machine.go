@@ -55,7 +55,7 @@ type region struct {
 // New builds a p-processor BSP machine.
 func New(p int, opts Options) *Machine {
 	m := &Machine{opts: opts, byName: map[string]Region{}}
-	m.Library = msg.NewLibrary(p, machine.NetParams{}, nil, msg.Config{
+	m.Library = msg.NewLibrary(p, machine.NetParams{}, msg.Config{
 		Words: func(proc, r int) []int64 { return m.reg(Region(r)).data[proc] },
 		// Pid 1: qsmlib renders under pid 0, so a recorder shared by both
 		// (as in ext1) keeps them apart.

@@ -73,15 +73,14 @@ type Multiprocessor struct {
 	obsBytes     *obs.Histogram
 }
 
-// New builds a p-node machine on a fresh engine. model builds the per-node
-// processor cost model (nil uses the Table 2 analytic model for every node).
-func New(p int, net NetParams, model func(id int) cpu.Model) *Multiprocessor {
+// New builds a p-node machine on a fresh engine. Every node costs its
+// work with one shared Table 2 analytic processor model, which is
+// stateless.
+func New(p int, net NetParams) *Multiprocessor {
 	if p <= 0 {
 		panic("machine: p must be positive")
 	}
-	if model == nil {
-		model = func(int) cpu.Model { return cpu.NewAnalytic(cpu.Table2()) }
-	}
+	model := cpu.NewAnalytic(cpu.Table2())
 	e := sim.NewEngine()
 	mp := &Multiprocessor{E: e, Net: net}
 	for i := 0; i < p; i++ {
@@ -91,7 +90,7 @@ func New(p int, net NetParams, model func(id int) cpu.Model) *Multiprocessor {
 			inbox:   e.NewChan(),
 			sendNIC: e.NewServer(),
 			recvNIC: e.NewServer(),
-			cost:    model(i),
+			cost:    model,
 		})
 	}
 	return mp

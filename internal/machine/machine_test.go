@@ -8,7 +8,7 @@ import (
 )
 
 func TestSendRecvTiming(t *testing.T) {
-	mp := New(2, DefaultNet(), nil)
+	mp := New(2, DefaultNet())
 	var sent, recvd sim.Time
 	err := mp.Run(1, func(n *Node) {
 		switch n.ID() {
@@ -37,7 +37,7 @@ func TestSendRecvTiming(t *testing.T) {
 }
 
 func TestSendNICSerialises(t *testing.T) {
-	mp := New(2, DefaultNet(), nil)
+	mp := New(2, DefaultNet())
 	var last sim.Time
 	err := mp.Run(1, func(n *Node) {
 		switch n.ID() {
@@ -70,7 +70,7 @@ func TestRecvNICCongestion(t *testing.T) {
 	// volume spread across receivers does not. This is the effect the
 	// staggered exchange schedule avoids.
 	concentrated := func() sim.Time {
-		mp := New(8, DefaultNet(), nil)
+		mp := New(8, DefaultNet())
 		var done sim.Time
 		if err := mp.Run(1, func(n *Node) {
 			if n.ID() != 0 {
@@ -87,7 +87,7 @@ func TestRecvNICCongestion(t *testing.T) {
 		return done
 	}()
 	spread := func() sim.Time {
-		mp := New(8, DefaultNet(), nil)
+		mp := New(8, DefaultNet())
 		var done sim.Time
 		if err := mp.Run(1, func(n *Node) {
 			n.Send((n.ID()+1)%8, 0, 4000, nil)
@@ -106,7 +106,7 @@ func TestRecvNICCongestion(t *testing.T) {
 }
 
 func TestComputeUsesModel(t *testing.T) {
-	mp := New(1, DefaultNet(), nil)
+	mp := New(1, DefaultNet())
 	blk := cpu.BlockSum(10000)
 	want := cpu.NewAnalytic(cpu.Table2()).Cycles(blk)
 	err := mp.Run(1, func(n *Node) {
@@ -124,7 +124,7 @@ func TestComputeUsesModel(t *testing.T) {
 }
 
 func TestTryRecv(t *testing.T) {
-	mp := New(2, DefaultNet(), nil)
+	mp := New(2, DefaultNet())
 	err := mp.Run(1, func(n *Node) {
 		switch n.ID() {
 		case 0:
@@ -145,7 +145,7 @@ func TestTryRecv(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	mp := New(2, DefaultNet(), nil)
+	mp := New(2, DefaultNet())
 	err := mp.Run(1, func(n *Node) {
 		if n.ID() == 0 {
 			n.Send(1, 0, 50, nil)
@@ -165,7 +165,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestInvalidDstPanics(t *testing.T) {
-	mp := New(2, DefaultNet(), nil)
+	mp := New(2, DefaultNet())
 	err := mp.Run(1, func(n *Node) {
 		if n.ID() == 0 {
 			n.Send(5, 0, 8, nil)
@@ -179,7 +179,7 @@ func TestInvalidDstPanics(t *testing.T) {
 func TestLatencyParameterRespected(t *testing.T) {
 	slow := DefaultNet()
 	slow.Latency = 100000
-	mp := New(2, slow, nil)
+	mp := New(2, slow)
 	var recvd sim.Time
 	err := mp.Run(1, func(n *Node) {
 		if n.ID() == 0 {
@@ -199,7 +199,7 @@ func TestLatencyParameterRespected(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Time {
-		mp := New(4, DefaultNet(), nil)
+		mp := New(4, DefaultNet())
 		var end sim.Time
 		if err := mp.Run(42, func(n *Node) {
 			for i := 0; i < 5; i++ {

@@ -10,7 +10,7 @@ import (
 // harness runs prog on a p-node machine with a Comm per node.
 func harness(t *testing.T, p int, net machine.NetParams, prog func(*Comm)) *machine.Multiprocessor {
 	t.Helper()
-	mp := machine.New(p, net, nil)
+	mp := machine.New(p, net)
 	if err := mp.Run(1, func(n *machine.Node) {
 		prog(NewComm(n, DefaultSW()))
 	}); err != nil {

@@ -3,7 +3,6 @@ package msg
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -111,15 +110,15 @@ type Library struct {
 }
 
 // NewLibrary builds a p-node library machine. A zero net uses
-// machine.DefaultNet; a nil model uses Table 2 analytic.
-func NewLibrary(p int, net machine.NetParams, model func(id int) cpu.Model, cfg Config) *Library {
+// machine.DefaultNet.
+func NewLibrary(p int, net machine.NetParams, cfg Config) *Library {
 	if net == (machine.NetParams{}) {
 		net = machine.DefaultNet()
 	}
 	if cfg.SW == (SWParams{}) {
 		cfg.SW = DefaultSW()
 	}
-	l := &Library{MP: machine.New(p, net, model), cfg: cfg}
+	l := &Library{MP: machine.New(p, net), cfg: cfg}
 	if cfg.Obs != nil {
 		l.MP.Observe(cfg.Obs)
 	}

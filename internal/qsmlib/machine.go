@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -34,8 +33,6 @@ type Options struct {
 	// sends to peers in index order 0,1,2,..., concentrating early traffic
 	// on low-numbered receive NICs. Exists for the ablation benchmarks.
 	NaiveExchange bool
-	// Model builds each node's processor model; nil uses Table 2 analytic.
-	Model func(id int) cpu.Model
 	// Obs attaches an observability recorder to the machine, the messaging
 	// layer, and the sync protocol (superstep spans with a compute/sync
 	// split). Nil costs nothing.
@@ -63,7 +60,7 @@ type array struct {
 // New builds a p-node simulated QSM machine.
 func New(p int, opts Options) *Machine {
 	m := &Machine{opts: opts, byName: map[string]core.Handle{}}
-	m.Library = msg.NewLibrary(p, opts.Net, opts.Model, msg.Config{
+	m.Library = msg.NewLibrary(p, opts.Net, msg.Config{
 		SW:    opts.SW,
 		Naive: opts.NaiveExchange,
 		Tree:  opts.TreeBarrier,
