@@ -115,6 +115,14 @@ func TestFig2Convergence(t *testing.T) {
 	}
 }
 
+// runPrefix measures the prefix-sums program, fanning runs across par
+// workers.
+func runPrefix(net machine.NetParams, n, p, runs int, seed int64, par int) measured {
+	return avgMeasured(parMap(par, runs, func(r int) measured {
+		return prefixOnce(net, n, p, seed+int64(r), nil)
+	}))
+}
+
 // TestFig1Flat verifies prefix communication is independent of n while the
 // QSM prediction underestimates it (overhead- and latency-dominated).
 func TestFig1Flat(t *testing.T) {

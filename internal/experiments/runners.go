@@ -50,14 +50,6 @@ func prefixOnce(net machine.NetParams, n, p int, seed int64, rec *obs.Recorder) 
 	return measured{Total: float64(st.TotalCycles), Comm: float64(st.MaxComm())}
 }
 
-// runPrefix measures the prefix-sums program, fanning runs across par
-// workers.
-func runPrefix(net machine.NetParams, n, p, runs int, seed int64, par int) measured {
-	return avgMeasured(parMap(par, runs, func(r int) measured {
-		return prefixOnce(net, n, p, seed+int64(r), nil)
-	}))
-}
-
 // sortRun is a sample-sort measurement with its observed skews: one run's
 // values, or the run-order average of several.
 type sortRun struct {
@@ -153,13 +145,4 @@ func avgRank(ss []rankRun) rankRun {
 		xs[i] /= float64(len(ss))
 	}
 	return rankRun{measured: avgMeasured(ms), X: xs, Z: stats.Mean(zs)}
-}
-
-// runRank measures the list-ranking program, fanning runs across par
-// workers.
-func runRank(net machine.NetParams, n, p, runs int, seed int64, par int) rankRun {
-	iters := algorithms.Iterations(0, p)
-	return avgRank(parMap(par, runs, func(r int) rankRun {
-		return rankOnce(net, n, p, iters, seed+int64(r), nil)
-	}))
 }
