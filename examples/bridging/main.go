@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -31,20 +33,27 @@ func sumProgram(ctx core.Ctx) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bridging:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	want := int64(p * (p + 1) / 2)
-	fmt.Printf("global sum of 1..%d on %d processors (want %d):\n\n", p, p, want)
+	fmt.Fprintf(w, "global sum of 1..%d on %d processors (want %d):\n\n", p, p, want)
 
 	qm := qsmlib.New(p, qsmlib.Options{Seed: 1})
 	if err := qm.Run(sumProgram); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("  QSM library (bulk-synchronous):   %10d cycles\n", qm.RunStats().TotalCycles)
+	fmt.Fprintf(w, "  QSM library (bulk-synchronous):   %10d cycles\n", qm.RunStats().TotalCycles)
 
 	em := bsp.NewQSM(p, bsp.Options{Seed: 1}, core.LayoutBlocked)
 	if err := em.Run(sumProgram); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("  QSM emulated on BSP (bridging):   %10d cycles\n", em.RunStats().TotalCycles)
+	fmt.Fprintf(w, "  QSM emulated on BSP (bridging):   %10d cycles\n", em.RunStats().TotalCycles)
 
 	lm := logp.New(logp.Default(p))
 	if err := lm.Run(1, func(pc *logp.Proc) {
@@ -53,10 +62,11 @@ func main() {
 			panic("wrong LogP sum")
 		}
 	}); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("  LogP binomial tree (fine-grained):%10d cycles\n\n", lm.Now())
+	fmt.Fprintf(w, "  LogP binomial tree (fine-grained):%10d cycles\n\n", lm.Now())
 
-	fmt.Println("the emulation tracks the native library (the bridging result);")
-	fmt.Println("the fine-grained tree wins on one-word payloads (Section 2.1's trade-off).")
+	fmt.Fprintln(w, "the emulation tracks the native library (the bridging result);")
+	_, err := fmt.Fprintln(w, "the fine-grained tree wins on one-word payloads (Section 2.1's trade-off).")
+	return err
 }

@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/algorithms"
 	"repro/internal/machine"
@@ -20,28 +23,37 @@ import (
 	"repro/internal/workload"
 )
 
+var n = flag.Int("n", 65536, "list length")
+
 func main() {
-	n := flag.Int("n", 65536, "list length")
 	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "listrank:", err)
+		os.Exit(1)
+	}
+}
+
+// run ranks one list at five latencies and writes the sweep to w.
+func run(w io.Writer) error {
 	const p = 16
 
 	l := workload.RandomList(*n, 3)
 	want := algorithms.SeqListRank(l)
 
-	fmt.Printf("list ranking, n=%d, p=%d\n", *n, p)
-	fmt.Printf("%-14s %-16s %-16s %s\n", "latency l", "total cycles", "comm cycles", "comm vs l=1600")
+	fmt.Fprintf(w, "list ranking, n=%d, p=%d\n", *n, p)
+	fmt.Fprintf(w, "%-14s %-16s %-16s %s\n", "latency l", "total cycles", "comm cycles", "comm vs l=1600")
 	var base float64
 	for _, lat := range []sim.Time{1600, 6400, 25600, 102400, 409600} {
 		net := machine.DefaultNet()
 		net.Latency = lat
 		m := qsmlib.New(p, qsmlib.Options{Net: net, Seed: 5})
 		if err := m.Run(algorithms.ListRank{List: l}.Program()); err != nil {
-			panic(err)
+			return err
 		}
 		got := m.Array("rank.R")
 		for i := range want {
 			if got[i] != want[i] {
-				panic("wrong ranks")
+				return errors.New("wrong ranks")
 			}
 		}
 		st := m.RunStats()
@@ -49,7 +61,8 @@ func main() {
 		if base == 0 {
 			base = comm
 		}
-		fmt.Printf("%-14d %-16d %-16d %.2fx\n", lat, st.TotalCycles, st.MaxComm(), comm/base)
+		fmt.Fprintf(w, "%-14d %-16d %-16d %.2fx\n", lat, st.TotalCycles, st.MaxComm(), comm/base)
 	}
-	fmt.Println("\nranks verified against sequential traversal at every latency")
+	_, err := fmt.Fprintln(w, "\nranks verified against sequential traversal at every latency")
+	return err
 }

@@ -10,15 +10,27 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/par"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	const p = 8
 	m := par.NewMachine(p, par.Options{Seed: 42})
 
+	// Processors run concurrently; each leaves its line in its own slot,
+	// printed in processor order once the run is over.
+	lines := make([]string, p)
 	err := m.Run(func(ctx core.Ctx) {
 		id := ctx.ID()
 		// A shared p-word array; word i is owned by processor i.
@@ -39,10 +51,14 @@ func main() {
 		for i := 0; i < id; i++ {
 			offset += all[i]
 		}
-		fmt.Printf("processor %d: local=%d, prefix offset=%d\n", id, local, offset)
+		lines[id] = fmt.Sprintf("processor %d: local=%d, prefix offset=%d\n", id, local, offset)
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println("final sums array:", m.Array("sums"))
+	for _, l := range lines {
+		fmt.Fprint(w, l)
+	}
+	_, err = fmt.Fprintln(w, "final sums array:", m.Array("sums"))
+	return err
 }
