@@ -72,7 +72,9 @@ func (o Options) runs() int {
 	return o.Runs
 }
 
-func (o Options) parallelism() int {
+// Workers returns the number of simulation workers a run uses:
+// Parallelism, or GOMAXPROCS when that is not positive.
+func (o Options) Workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
 	}

@@ -23,7 +23,7 @@ func init() {
 // factor of g.
 func ext4(opt Options) (*Result, error) {
 	const p = defaultP
-	mc := Calibrate(machine.DefaultNet(), opt.Seed, opt.parallelism())
+	mc := Calibrate(machine.DefaultNet(), opt.Seed, opt.Workers())
 	gw := mc.ScatterCalib(p).GWord
 
 	kappas := []int{16, 64, 256, 1024}

@@ -33,7 +33,7 @@ func init() {
 
 func fig1(opt Options) (*Result, error) {
 	net := machine.DefaultNet()
-	mc := Calibrate(net, opt.Seed, opt.parallelism())
+	mc := Calibrate(net, opt.Seed, opt.Workers())
 	c := mc.Calib(defaultP)
 	sizes := sweepSizes(opt.Quick, []int{4096, 16384, 65536, 262144, 1048576})
 
@@ -57,7 +57,7 @@ func fig1(opt Options) (*Result, error) {
 
 func fig2(opt Options) (*Result, error) {
 	net := machine.DefaultNet()
-	mc := Calibrate(net, opt.Seed, opt.parallelism())
+	mc := Calibrate(net, opt.Seed, opt.Workers())
 	c := mc.Calib(defaultP)
 	sizes := sweepSizes(opt.Quick, []int{16384, 32768, 65536, 131072, 262144, 524288, 1048576})
 
@@ -84,7 +84,7 @@ func fig2(opt Options) (*Result, error) {
 
 func fig3(opt Options) (*Result, error) {
 	net := machine.DefaultNet()
-	mc := Calibrate(net, opt.Seed, opt.parallelism())
+	mc := Calibrate(net, opt.Seed, opt.Workers())
 	// List ranking's traffic is scattered single words, so its predictions
 	// are charged at the word-granularity gap.
 	c := mc.ScatterCalib(defaultP)

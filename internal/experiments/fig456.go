@@ -27,7 +27,7 @@ func fig4(opt Options) (*Result, error) {
 	base := machine.DefaultNet()
 	// Prediction lines are computed once, on the default configuration:
 	// QSM does not model l, so its predictions are constant as l varies.
-	mc := Calibrate(base, opt.Seed, opt.parallelism())
+	mc := Calibrate(base, opt.Seed, opt.Workers())
 	c := mc.Calib(defaultP)
 	sizes := sweepSizes(opt.Quick, []int{16384, 65536, 262144, 1048576})
 	lats := latSweep
@@ -84,7 +84,7 @@ func crossoverN(net machine.NetParams, c models.Calib, opt Options) float64 {
 		runs = 3 // the crossover scan is the expensive part; 3 repetitions suffice
 	}
 	for _, n := range sizes {
-		srr := runSort(net, n, defaultP, runs, opt.Seed, opt.parallelism())
+		srr := runSort(net, n, defaultP, runs, opt.Seed, opt.Workers())
 		whp := c.SortQSMComm(n, oversample, models.SortWHP(n, defaultP, oversample, whpEps))
 		ratio := srr.Comm / whp
 		if ratio <= 1 {
@@ -102,7 +102,7 @@ func crossoverN(net machine.NetParams, c models.Calib, opt Options) float64 {
 
 func fig5(opt Options) (*Result, error) {
 	base := machine.DefaultNet()
-	mc := Calibrate(base, opt.Seed, opt.parallelism())
+	mc := Calibrate(base, opt.Seed, opt.Workers())
 	c := mc.Calib(defaultP)
 	lats := latSweep
 	if opt.Quick {
@@ -133,7 +133,7 @@ func fig5(opt Options) (*Result, error) {
 
 func fig6(opt Options) (*Result, error) {
 	base := machine.DefaultNet()
-	mc := Calibrate(base, opt.Seed, opt.parallelism())
+	mc := Calibrate(base, opt.Seed, opt.Workers())
 	c := mc.Calib(defaultP)
 	ovhs := ovhSweep
 	if opt.Quick {

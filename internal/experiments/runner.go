@@ -119,7 +119,7 @@ func sweepCost(i int) float64 { return float64(i) }
 func sweepRuns[T any](opt Options, points, runs int, fn func(point, run int, rec *obs.Recorder) T) [][]T {
 	base := opt.Obs.Reserve(points * runs)
 	pt := newProgressTracker(opt, points, runs)
-	flat := parMapCost(opt.parallelism(), points*runs, sweepCost, func(i int) T {
+	flat := parMapCost(opt.Workers(), points*runs, sweepCost, func(i int) T {
 		if err := opt.ctxErr(); err != nil {
 			panic(&sweepCancelled{err})
 		}
@@ -141,7 +141,7 @@ func sweepRuns[T any](opt Options, points, runs int, fn func(point, run int, rec
 func sweepPoints[T any](opt Options, points int, fn func(point int, rec *obs.Recorder) T) []T {
 	base := opt.Obs.Reserve(points)
 	pt := newProgressTracker(opt, points, 1)
-	return parMapCost(opt.parallelism(), points, sweepCost, func(i int) T {
+	return parMapCost(opt.Workers(), points, sweepCost, func(i int) T {
 		if err := opt.ctxErr(); err != nil {
 			panic(&sweepCancelled{err})
 		}

@@ -74,10 +74,10 @@ func TestSweepRunsShape(t *testing.T) {
 }
 
 func TestParallelismDefault(t *testing.T) {
-	if got := (Options{}).parallelism(); got != runtime.GOMAXPROCS(0) {
+	if got := (Options{}).Workers(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("default parallelism = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := (Options{Parallelism: 3}).parallelism(); got != 3 {
+	if got := (Options{Parallelism: 3}).Workers(); got != 3 {
 		t.Errorf("explicit parallelism = %d, want 3", got)
 	}
 }

@@ -61,7 +61,7 @@ func table2(opt Options) (*Result, error) {
 
 func table3(opt Options) (*Result, error) {
 	net := machine.DefaultNet()
-	mc := Calibrate(net, opt.Seed, opt.parallelism())
+	mc := Calibrate(net, opt.Seed, opt.Workers())
 	t := report.NewTable("Table 3: raw hardware vs observed (hardware + software) network performance",
 		"parameter", "hardware setting", "observed (HW+SW)")
 	t.AddRow("gap g (bandwidth)", "3 cycles/byte (133 MB/s)",
