@@ -153,3 +153,29 @@ func readJSON(t *testing.T, path string, v any) {
 		t.Fatalf("%s: %v", path, err)
 	}
 }
+
+// TestCachedMetricsFile: -cache writes the same METRICS bytes as a plain
+// run, on the run that fills the cache and on the hit that reads it back.
+func TestCachedMetricsFile(t *testing.T) {
+	plain, cache := t.TempDir(), t.TempDir()
+	if _, stderr, code := invoke(t, "-quick", "-runs", "1", "-metrics", "-json", plain, "fig7"); code != 0 {
+		t.Fatalf("plain run: exit %d: %s", code, stderr)
+	}
+	want, err := os.ReadFile(filepath.Join(plain, "METRICS_fig7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []string{"miss", "hit"} {
+		dir := t.TempDir()
+		if _, stderr, code := invoke(t, "-cache", cache, "-quick", "-runs", "1", "-metrics", "-json", dir, "fig7"); code != 0 {
+			t.Fatalf("cached run (%s): exit %d: %s", run, code, stderr)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "METRICS_fig7.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("cached run (%s) wrote %d METRICS bytes, plain run %d; they differ", run, len(got), len(want))
+		}
+	}
+}

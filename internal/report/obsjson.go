@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/jsonbytes"
 	"repro/internal/obs"
 )
 
@@ -22,12 +23,13 @@ func WriteMetrics(dir, id string, rec *obs.Recorder) (string, error) {
 	return writeObsFile(dir, MetricsFileName(id), rec.WriteMetricsJSON)
 }
 
-// WriteMetricsRaw writes pre-rendered METRICS JSON — as cached in a result
-// store entry — to dir/METRICS_<id>.json, creating dir if needed, and
-// returns the path.
+// WriteMetricsRaw writes METRICS JSON held as bytes — as a result store
+// entry carries it, compact or indented — to dir/METRICS_<id>.json in the
+// form WriteMetrics writes, creating dir if needed, and returns the path.
+// data must be valid JSON.
 func WriteMetricsRaw(dir, id string, data []byte) (string, error) {
 	return writeObsFile(dir, MetricsFileName(id), func(w io.Writer) error {
-		_, err := w.Write(data)
+		_, err := w.Write(jsonbytes.Indent(jsonbytes.AppendCompact(nil, data)))
 		return err
 	})
 }
