@@ -121,6 +121,13 @@ type testNode struct {
 // checking is disabled; tests drive CheckPeers when they need probes.
 func newCluster(t *testing.T, n, replicas int, inj *faults.Injector) []*testNode {
 	t.Helper()
+	return newClusterHTTP(t, n, replicas, inj, nil)
+}
+
+// newClusterHTTP is newCluster with httpc as every node's base client for
+// peer requests (nil: http.DefaultClient).
+func newClusterHTTP(t *testing.T, n, replicas int, inj *faults.Injector, httpc *http.Client) []*testNode {
+	t.Helper()
 	nodes := make([]*testNode, n)
 	swaps := make([]*swapHandler, n)
 	urls := make([]string, n)
@@ -170,6 +177,7 @@ func newCluster(t *testing.T, n, replicas int, inj *faults.Injector) []*testNode
 			RingSeed:       1,
 			Store:          st,
 			Sched:          sched,
+			HTTP:           httpc,
 			Faults:         inj,
 			HealthInterval: -1,
 		})

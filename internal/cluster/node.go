@@ -75,14 +75,7 @@ type Node struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	mu      sync.Mutex
-	fwdJobs map[string]string // job ID → peer URL this node forwarded the submit to
-	// fwdBodies remembers forwarded submit bodies so a stream whose owner
-	// dies mid-flight can be recomputed locally.
-	fwdBodies map[string][]byte
-	// aliases maps a dead owner's job ID to the local job that replaced it
-	// after a stream failover.
-	aliases map[string]string
+	failover failoverTable
 
 	// met counts routing and replication events; WriteMetricsText and
 	// Status read it at scrape time.
@@ -100,13 +93,16 @@ type Node struct {
 
 // New builds the node, its ring, and its peer clients, and starts the
 // background health checker (unless disabled). The local handler is taken
-// from cfg.Sched.
+// from cfg.Sched, which must have a node name: job IDs are routed by it.
 func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self is required")
 	}
 	if cfg.Store == nil || cfg.Sched == nil {
 		return nil, errors.New("cluster: Config.Store and Config.Sched are required")
+	}
+	if cfg.Sched.NodeName() == "" {
+		return nil, errors.New("cluster: the scheduler needs a node name (service.Config.NodeName) to route job IDs")
 	}
 	ring, err := NewRing(cfg.RingSeed, cfg.VNodes, append([]string{cfg.Self}, cfg.Peers...))
 	if err != nil {
@@ -119,14 +115,11 @@ func New(cfg Config) (*Node, error) {
 		cfg.Replicas = len(ring.Members())
 	}
 	n := &Node{
-		cfg:       cfg,
-		ring:      ring,
-		peers:     make(map[string]*peer, len(cfg.Peers)),
-		local:     cfg.Sched.Handler(),
-		stop:      make(chan struct{}),
-		fwdJobs:   map[string]string{},
-		fwdBodies: map[string][]byte{},
-		aliases:   map[string]string{},
+		cfg:   cfg,
+		ring:  ring,
+		peers: make(map[string]*peer, len(cfg.Peers)),
+		local: cfg.Sched.Handler(),
+		stop:  make(chan struct{}),
 	}
 	for _, u := range cfg.Peers {
 		if u == cfg.Self {
@@ -172,31 +165,41 @@ func (n *Node) healthLoop(interval time.Duration) {
 	}
 }
 
-// CheckPeers probes every peer's /healthz once, updating liveness and
-// logging fingerprint skew (a cluster whose nodes run different code
-// computes different cache keys and must be flagged, not silently split).
+// CheckPeers probes every peer's /healthz once (see checkPeer).
 func (n *Node) CheckPeers(ctx context.Context) {
 	for _, u := range n.peerURLs() {
-		p := n.peers[u]
-		wasAlive := p.Alive()
-		if err := p.check(ctx, 5*time.Second); err != nil {
-			if wasAlive {
-				n.cfg.Log.Warn("peer went down", "peer", u, "error", err)
-			}
-			continue
+		n.checkPeer(ctx, n.peers[u])
+	}
+}
+
+// checkPeer probes p's /healthz once, updating its liveness and node name,
+// and logs fingerprint skew (a cluster whose nodes run different code
+// computes different cache keys and must be flagged, not silently split)
+// and a name that cannot route job IDs: empty, or this node's or another
+// peer's too.
+func (n *Node) checkPeer(ctx context.Context, p *peer) {
+	wasAlive := p.Alive()
+	if err := p.check(ctx, 5*time.Second); err != nil {
+		if wasAlive {
+			n.cfg.Log.Warn("peer went down", "peer", p.url, "error", err)
 		}
-		if !wasAlive {
-			n.cfg.Log.Info("peer recovered", "peer", u)
-		}
-		if fp := p.status().Fingerprint; fp != "" && fp != n.cfg.Sched.Fingerprint() {
-			n.cfg.Log.Warn("peer fingerprint skew: ring placements will disagree",
-				"peer", u, "peer_fingerprint", fp, "local_fingerprint", n.cfg.Sched.Fingerprint())
-		}
+		return
+	}
+	if !wasAlive {
+		n.cfg.Log.Info("peer recovered", "peer", p.url)
+	}
+	if fp := p.status().Fingerprint; fp != "" && fp != n.cfg.Sched.Fingerprint() {
+		n.cfg.Log.Warn("peer fingerprint skew: ring placements will disagree",
+			"peer", p.url, "peer_fingerprint", fp, "local_fingerprint", n.cfg.Sched.Fingerprint())
+	}
+	if name, _ := p.nodeName(); name == "" || name == n.cfg.Sched.NodeName() || n.peerNamed(name) != p {
+		n.cfg.Log.Warn("peer node name is empty or not unique: its job IDs will not be routed",
+			"peer", p.url, "peer_name", name, "local_name", n.cfg.Sched.NodeName())
 	}
 }
 
 // peerURLs returns the peer set in sorted order, for deterministic probe
-// and scan order.
+// order.
 func (n *Node) peerURLs() []string {
 	urls := make([]string, 0, len(n.peers))
 	for u := range n.peers {
@@ -255,7 +258,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 // forward proxies the request verbatim to peer p (adding the forwarded
 // marker and keeping the inbound trace header), relaying the peer's status
 // and body on success and returning the relayed body so the caller can
-// inspect it (e.g. to remember which peer owns a returned job ID). It
+// inspect it (e.g. to read a returned job ID). It
 // returns ok=false — after marking the peer down — on a transport-level
 // failure, letting the caller fail over; a response from the peer,
 // whatever its status, is relayed as-is because the peer is alive and its
@@ -358,9 +361,8 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if data, ok := n.forward(w, r, p, body); ok {
 			var js service.JobStatus
-			if json.Unmarshal(data, &js) == nil {
-				n.rememberForward(js.ID, o)
-				n.rememberBody(js.ID, body)
+			if json.Unmarshal(data, &js) == nil && js.ID != "" {
+				n.failover.update(js.ID, func(e *failoverEntry) { e.body = body })
 			}
 			return
 		}
@@ -383,59 +385,6 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	n.serveLocal(w, r, body)
 }
 
-// rememberForward records which peer got a forwarded submit, so later polls
-// of the returned job ID route straight back to it.
-func (n *Node) rememberForward(id, peerURL string) {
-	if id == "" {
-		return
-	}
-	n.mu.Lock()
-	n.fwdJobs[id] = peerURL
-	n.mu.Unlock()
-}
-
-// forwardedTo returns the peer a job ID was forwarded to, if any.
-func (n *Node) forwardedTo(id string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	u, ok := n.fwdJobs[id]
-	return u, ok
-}
-
-// rememberBody keeps a forwarded submit body for stream failover.
-func (n *Node) rememberBody(id string, body []byte) {
-	if id == "" || body == nil {
-		return
-	}
-	n.mu.Lock()
-	n.fwdBodies[id] = body
-	n.mu.Unlock()
-}
-
-// forwardedBody returns the submit body a forwarded job ID was created
-// with, if remembered.
-func (n *Node) forwardedBody(id string) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	b, ok := n.fwdBodies[id]
-	return b, ok
-}
-
-// aliasJob records that remote job id was recomputed locally as localID.
-func (n *Node) aliasJob(id, localID string) {
-	n.mu.Lock()
-	n.aliases[id] = localID
-	n.mu.Unlock()
-}
-
-// aliasOf resolves a failover alias.
-func (n *Node) aliasOf(id string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	localID, ok := n.aliases[id]
-	return localID, ok
-}
-
 // redirectLocal serves the request locally with the aliased job ID spliced
 // into the path.
 func (n *Node) redirectLocal(w http.ResponseWriter, r *http.Request, oldID, newID string) {
@@ -445,53 +394,74 @@ func (n *Node) redirectLocal(w http.ResponseWriter, r *http.Request, oldID, newI
 	n.local.ServeHTTP(w, r2)
 }
 
-// handleJobRouted serves job GET/DELETE/trace requests: locally when the
-// job is this node's, else by proxying to the peer the submit was
-// forwarded to, else by scanning live peers (job IDs are per-node, so a
-// poll can land anywhere in the cluster).
+// jobNode returns the node name in a cluster job ID, job-<node>-<seq>:
+// everything between "job-" and the last "-", since names may hold '-'
+// and ':' themselves. ok is false for an ID of any other shape.
+func jobNode(id string) (name string, ok bool) {
+	rest, ok := strings.CutPrefix(id, "job-")
+	i := strings.LastIndexByte(rest, '-')
+	if !ok || i < 1 {
+		return "", false
+	}
+	_, err := strconv.ParseUint(rest[i+1:], 10, 64)
+	return rest[:i], err == nil
+}
+
+// peerNamed returns the one peer that reported name, or nil when none or
+// several did.
+func (n *Node) peerNamed(name string) *peer {
+	var found *peer
+	for _, p := range n.peers {
+		if pn, _ := p.nodeName(); pn == name {
+			if found != nil {
+				return nil
+			}
+			found = p
+		}
+	}
+	return found
+}
+
+// jobPeer returns the live peer the request's job ID names, or nil when
+// the request is this node's to answer: it was forwarded here, or its ID
+// does not parse or names this node, a dead peer or no peer. A name no
+// peer has reported first probes the live peers whose names are still
+// unknown (polls can arrive before the first health check has run).
+func (n *Node) jobPeer(r *http.Request) *peer {
+	name, ok := jobNode(r.PathValue("id"))
+	if !ok || name == n.cfg.Sched.NodeName() || r.Header.Get(ForwardedHeader) != "" {
+		return nil
+	}
+	p := n.peerNamed(name)
+	if p == nil {
+		for _, u := range n.peerURLs() {
+			if _, named := n.peers[u].nodeName(); !named && n.peers[u].Alive() {
+				n.checkPeer(r.Context(), n.peers[u])
+			}
+		}
+		p = n.peerNamed(name)
+	}
+	if p == nil || !p.Alive() {
+		return nil
+	}
+	return p
+}
+
+// handleJobRouted serves job GET/DELETE/trace requests: by proxying to the
+// live peer the job ID names, else locally — this node's own jobs, and the
+// canonical 404 for the rest.
 func (n *Node) handleJobRouted(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if localID, ok := n.aliasOf(id); ok {
+	if localID := n.failover.get(id).localID; localID != "" {
 		n.redirectLocal(w, r, id, localID)
 		return
 	}
-	if _, ok := n.cfg.Sched.Job(id); ok || r.Header.Get(ForwardedHeader) != "" {
-		n.serveLocal(w, r, nil)
-		return
-	}
-	if u, ok := n.forwardedTo(id); ok {
-		if p := n.peers[u]; p != nil && p.Alive() {
-			if _, ok := n.forward(w, r, p, nil); ok {
-				return
-			}
+	if p := n.jobPeer(r); p != nil {
+		if _, ok := n.forward(w, r, p, nil); ok {
+			return
 		}
 	}
-	for _, u := range n.peerURLs() {
-		p := n.peers[u]
-		if !p.Alive() {
-			continue
-		}
-		if found, done := n.probeJob(w, r, p, id); found {
-			if done {
-				return
-			}
-		}
-	}
-	n.serveLocal(w, r, nil) // canonical 404
-}
-
-// probeJob checks whether peer p knows job id (a cheap status GET) and, if
-// so, forwards the real request there. found reports the job was located;
-// done reports the response was written.
-func (n *Node) probeJob(w http.ResponseWriter, r *http.Request, p *peer, id string) (found, done bool) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
-	if _, err := p.client.Job(ctx, id); err != nil {
-		return false, false
-	}
-	n.rememberForward(id, p.url)
-	_, done = n.forward(w, r, p, nil)
-	return true, done
+	n.serveLocal(w, r, nil)
 }
 
 // handleResult serves result reads with read-repair: a local hit is

@@ -47,6 +47,8 @@ type peer struct {
 
 	mu          sync.Mutex
 	fingerprint string // last fingerprint seen from /healthz
+	name        string // last node name seen from /healthz
+	named       bool   // a /healthz answer has set name
 	lastErr     string // last failure, for /statusz
 }
 
@@ -101,9 +103,18 @@ func (p *peer) check(ctx context.Context, timeout time.Duration) error {
 	p.alive.Store(true)
 	p.mu.Lock()
 	p.fingerprint = h.Fingerprint
+	p.name, p.named = h.Node, true
 	p.lastErr = ""
 	p.mu.Unlock()
 	return nil
+}
+
+// nodeName returns the node name the peer last reported; named is false
+// until a /healthz answer has been seen.
+func (p *peer) nodeName() (name string, named bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.name, p.named
 }
 
 // PeerStatus is one peer's row in the cluster's /statusz section.

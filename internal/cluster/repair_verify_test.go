@@ -53,7 +53,7 @@ func TestReadRepairVerifiesPeerEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := service.New(service.Config{Store: st, Fingerprint: testFingerprint})
+	sched, err := service.New(service.Config{Store: st, Fingerprint: testFingerprint, NodeName: "n0"})
 	if err != nil {
 		t.Fatal(err)
 	}

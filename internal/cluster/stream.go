@@ -1,71 +1,42 @@
 package cluster
 
-// Streaming across the ring: GET /v1/jobs/{id}/events follows the same
-// owner-routing as job polls — a stream for a job this node forwarded is
-// proxied (flushing frame by frame) to the owning peer with the inbound
-// trace ID attached, so one trace covers the submit, the hop, and the
-// stream. The difference from plain forwards is failure handling: a stream
-// that breaks mid-flight cannot simply be retried against the same body,
-// because the owner may be gone for good. Instead the node falls over to
-// local compute — it replays the remembered submit body into its own
-// scheduler (deterministically byte-identical results), aliases the remote
-// job ID to the local one so later polls and cancels resolve, and keeps
-// serving the same response from the local stream. Local event IDs restart
-// from zero; service.Client tolerates the restart and watches through to
-// the terminal event.
+// Streaming across the ring: GET /v1/jobs/{id}/events is routed like a job
+// poll — to the live peer the job ID names — and proxied frame by frame
+// with the inbound trace ID attached, so one trace covers the submit, the
+// hop, and the stream. The difference from plain forwards is failure
+// handling: a stream whose owner is down, or breaks mid-flight, cannot
+// simply be retried, because the owner may be gone for good. Instead the
+// node falls over to local compute — it replays the remembered submit body
+// into its own scheduler (deterministically byte-identical results),
+// aliases the remote job ID to the local one so later polls and cancels
+// resolve, and keeps serving the same response from the local stream. Local
+// event IDs restart from zero; service.Client tolerates the restart. The
+// bodies and aliases live in one table bounded by failoverEntries.
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
-// handleJobEvents routes one job event stream: locally for local (or
-// aliased, or already-forwarded) jobs, else proxied to the peer that got
-// the submit, with local-compute failover when the owner dies mid-stream.
+// handleJobEvents routes one job event stream: proxied to the live peer
+// the job ID names, with local-compute failover when that owner is down or
+// dies mid-stream, else served locally.
 func (n *Node) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if localID, ok := n.aliasOf(id); ok {
+	if localID := n.failover.get(id).localID; localID != "" {
 		n.redirectLocal(w, r, id, localID)
 		return
 	}
-	if _, ok := n.cfg.Sched.Job(id); ok || r.Header.Get(ForwardedHeader) != "" {
-		n.serveLocal(w, r, nil)
-		return
-	}
-	var p *peer
-	if u, ok := n.forwardedTo(id); ok {
-		if cand := n.peers[u]; cand != nil && cand.Alive() {
-			p = cand
-		}
-	} else {
-		// Unknown job: locate it the way handleJobRouted does — job IDs are
-		// per-node, so the stream can be asked for anywhere in the cluster.
-		for _, u := range n.peerURLs() {
-			cand := n.peers[u]
-			if !cand.Alive() {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-			_, err := cand.client.Job(ctx, id)
-			cancel()
-			if err == nil {
-				n.rememberForward(id, u)
-				p = cand
-				break
-			}
-		}
-	}
 	headerSent := false
-	if p != nil {
+	if p := n.jobPeer(r); p != nil {
 		var done bool
-		done, headerSent = n.forwardStream(w, r, p, id)
-		if done {
+		if done, headerSent = n.forwardStream(w, r, p, id); done {
 			return
 		}
 	}
@@ -158,13 +129,14 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 
 // failoverStream recomputes a dead owner's job locally and serves its
 // stream on the same response. Without a remembered submit body nothing can
-// be replayed: a fresh response gets the canonical 404, a broken-off stream
-// just ends (the client reconnects and re-resolves).
+// be replayed: a fresh response is served locally (this node's own job, or
+// the canonical 404), a broken-off stream just ends (the client reconnects
+// and re-resolves).
 func (n *Node) failoverStream(w http.ResponseWriter, r *http.Request, id string, headerSent bool) {
-	body, ok := n.forwardedBody(id)
-	if !ok {
+	body := n.failover.get(id).body
+	if body == nil {
 		if !headerSent {
-			n.serveLocal(w, r, nil) // canonical 404
+			n.serveLocal(w, r, nil)
 		}
 		return
 	}
@@ -188,7 +160,7 @@ func (n *Node) failoverStream(w http.ResponseWriter, r *http.Request, id string,
 		}
 		return
 	}
-	n.aliasJob(id, js.ID)
+	n.failover.update(id, func(e *failoverEntry) { e.localID = js.ID })
 	n.met.fallbackLocal.Add(1)
 	n.cfg.Log.Warn("stream owner unreachable, recomputing locally",
 		"job", id, "local_job", js.ID)
@@ -229,4 +201,50 @@ func (m *midStreamWriter) Flush() {
 	if f, ok := m.w.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// failoverEntries bounds the failover table; it is the size of the
+// scheduler's ring of retained finished jobs.
+const failoverEntries = 4096
+
+// failoverTable holds what stream failover needs for the most recent
+// failoverEntries forwarded job IDs, forgetting the oldest first; a
+// forgotten ID fails over like one never forwarded.
+type failoverTable struct {
+	mu      sync.Mutex
+	entries map[string]failoverEntry
+	order   []string // a ring of IDs by insertion; order[next] is the oldest
+	next    int
+}
+
+// failoverEntry is the body a forwarded job was submitted with and, once a
+// failover has replayed it here, the local job that replaced it.
+type failoverEntry struct {
+	body    []byte
+	localID string
+}
+
+// update applies set to id's entry, adding the entry — and evicting the
+// oldest when the table is full — if it is absent.
+func (t *failoverTable) update(id string, set func(*failoverEntry)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.entries == nil {
+		t.entries, t.order = map[string]failoverEntry{}, make([]string, failoverEntries)
+	}
+	e, ok := t.entries[id]
+	if !ok {
+		delete(t.entries, t.order[t.next]) // an unused slot holds "", never an ID
+		t.order[t.next] = id
+		t.next = (t.next + 1) % failoverEntries
+	}
+	set(&e)
+	t.entries[id] = e
+}
+
+// get returns id's entry, the zero entry if there is none.
+func (t *failoverTable) get(id string) failoverEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries[id]
 }

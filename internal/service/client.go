@@ -284,14 +284,19 @@ func (c *Client) PutResult(ctx context.Context, key string, wire []byte) error {
 	return c.send(ctx, http.MethodPut, "/v1/results/"+url.PathEscape(key), wire, nil)
 }
 
-// HealthStatus is the /healthz payload.
+// HealthStatus is the /healthz payload. Its fields are in name order, the
+// order the endpoint has always written them in.
 type HealthStatus struct {
-	Status      string `json:"status"`
 	Fingerprint string `json:"fingerprint"`
+	// Node is the scheduler's node name; cluster nodes learn each other's
+	// names from it to route job IDs. Omitted on a single node.
+	Node   string `json:"node,omitempty"`
+	Status string `json:"status"`
 }
 
-// Health fetches the server's liveness and code fingerprint; cluster health
-// checks use it to detect dead peers and fingerprint skew.
+// Health fetches the server's liveness, code fingerprint and node name;
+// cluster health checks use it to detect dead peers and fingerprint skew
+// and to learn which peer a job ID names.
 func (c *Client) Health(ctx context.Context) (HealthStatus, error) {
 	var h HealthStatus
 	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)

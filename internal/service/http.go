@@ -283,10 +283,7 @@ func (s *Scheduler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      status,
-		"fingerprint": s.cfg.Fingerprint,
-	})
+	writeJSON(w, http.StatusOK, HealthStatus{Fingerprint: s.cfg.Fingerprint, Node: s.cfg.NodeName, Status: status})
 }
 
 func (s *Scheduler) handleMetricsz(w http.ResponseWriter, r *http.Request) {
