@@ -49,7 +49,8 @@
 // set (its own -self plus -peers), -replicas, -vnodes, and -ring-seed; the
 // ring is pure configuration, so no coordination service is involved.
 // -node-name (default: the -self URL's host:port) names this node in job
-// statuses and the qsmload balance report.
+// IDs, job statuses and the qsmload balance report. Nodes route a job
+// request by the name in its ID, so names must be unique within the ring.
 //
 // Observability: every request runs under a trace ID (adopted from the
 // X-Qsm-Trace header or minted per request) that appears on each structured
@@ -132,7 +133,7 @@ func main() {
 		replicas   = flag.Int("replicas", 2, "cluster copies of each result, owner included (1 disables replication)")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "ring virtual nodes per member; must match across the cluster")
 		ringSeed   = flag.Int64("ring-seed", 1, "ring placement seed; must match across the cluster")
-		nodeName   = flag.String("node-name", "", "node name stamped into job statuses (default: -self host:port)")
+		nodeName   = flag.String("node-name", "", "node name stamped into job IDs and statuses; must be unique within the ring (default: -self host:port)")
 	)
 	flag.Parse()
 	logger := obs.NewLogger(os.Stderr, obs.ParseLogLevel(*logLevel))
