@@ -9,8 +9,7 @@ import (
 // admitQueue is the scheduler's admission queue: the service-side half of
 // scheduling (internal/sched gives the runner LPT scheduling inside one
 // sweep; this gives the serving tier priority, deadline, and tenant
-// fairness across sweeps). It replaces the old FIFO channel with
-// policy-aware dequeue:
+// fairness across sweeps). Dequeue follows a policy:
 //
 //   - Priority: higher Request.Priority dequeues first.
 //   - Aging: a job's effective priority rises by one for every AgingStep it
@@ -31,17 +30,22 @@ import (
 // determinism) leaves the queue in the same batch, and the scheduler runs
 // one simulation for all of them.
 //
+// Admission takes two steps: reserve claims a place, counted in depth and
+// capacity, and push fills it for popBatch to find. The scheduler
+// publishes the job's queued state in between.
+//
 // All methods are safe for concurrent use. Blocking happens only in
-// popBatch; push is non-blocking admission control.
+// popBatch; reserve is non-blocking admission control.
 type admitQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	capacity int
 	aging    time.Duration
 	closed   bool
-	size     int
-	maxSize  int // high-water mark of size
-	tenants  map[string]*tenantQueue
+	// size counts the admitted jobs not yet popped, reserved counts those
+	// of them not yet pushed, and maxSize is size's high-water mark.
+	size, reserved, maxSize int
+	tenants                 map[string]*tenantQueue
 	// serveSeq orders pops; each tenant's lastServed is the serveSeq of its
 	// most recent dequeue, and fairness prefers the smallest.
 	serveSeq uint64
@@ -49,6 +53,7 @@ type admitQueue struct {
 
 type tenantQueue struct {
 	jobs       []*job // FIFO by seq
+	reserved   int    // places reserved and not yet pushed
 	lastServed uint64
 }
 
@@ -78,8 +83,8 @@ func (q *admitQueue) TenantDepths() map[string]int {
 	defer q.mu.Unlock()
 	out := make(map[string]int, len(q.tenants))
 	for name, tq := range q.tenants {
-		if len(tq.jobs) > 0 {
-			out[name] = len(tq.jobs)
+		if n := len(tq.jobs) + tq.reserved; n > 0 {
+			out[name] = n
 		}
 	}
 	return out
@@ -91,7 +96,7 @@ func (q *admitQueue) TenantDepth(name string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if tq := q.tenants[name]; tq != nil {
-		return len(tq.jobs)
+		return len(tq.jobs) + tq.reserved
 	}
 	return 0
 }
@@ -132,27 +137,41 @@ func (q *admitQueue) snapshot() []QueuedJobInfo {
 	return out
 }
 
-// push admits j, reporting false when the queue is at capacity.
-func (q *admitQueue) push(j *job) bool {
+// reserve claims a place for one of tenant's jobs, reporting false when
+// the queue is at capacity.
+func (q *admitQueue) reserve(tenant string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.size >= q.capacity {
 		return false
 	}
-	tq := q.tenants[j.tenant]
+	tq := q.tenants[tenant]
 	if tq == nil {
 		tq = &tenantQueue{}
-		q.tenants[j.tenant] = tq
+		q.tenants[tenant] = tq
 	}
-	tq.jobs = append(tq.jobs, j)
+	tq.reserved++
+	q.reserved++
 	q.size++
 	q.maxSize = max(q.maxSize, q.size)
-	q.cond.Signal()
 	return true
 }
 
-// close wakes all blocked workers; popBatch drains the remaining jobs and
-// then reports done.
+// push puts j into the place reserve claimed for it, where popBatch finds
+// it, and returns the queue depth it leaves.
+func (q *admitQueue) push(j *job) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	tq := q.tenants[j.tenant]
+	tq.reserved--
+	tq.jobs = append(tq.jobs, j)
+	q.reserved--
+	q.cond.Signal()
+	return q.size
+}
+
+// close wakes all blocked workers; popBatch drains the remaining jobs,
+// reserved ones included, and then reports done.
 func (q *admitQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -200,8 +219,8 @@ func (q *admitQueue) better(a, b *job, now time.Time) bool {
 func (q *admitQueue) popBatch() (batch []*job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == 0 {
-		if q.closed {
+	for q.size == q.reserved {
+		if q.closed && q.size == 0 {
 			return nil, false
 		}
 		q.cond.Wait()
@@ -247,6 +266,10 @@ func (q *admitQueue) popBatch() (batch []*job, ok bool) {
 			}
 		}
 		q.size--
+	}
+	if q.closed && q.size == 0 {
+		// Workers left waiting on a reserved place can now exit.
+		q.cond.Broadcast()
 	}
 	return batch, true
 }

@@ -110,12 +110,14 @@ type Config struct {
 	// Faults optionally injects worker panics and artificial slowness into
 	// the compute path; nil injects nothing.
 	Faults *faults.Injector
-	// StateHook, when non-nil, is called synchronously with a job's status
-	// after every lifecycle transition (queued, each running attempt, done,
-	// failed), in that order and with one terminal call per job. It runs on scheduler and worker goroutines outside scheduler
-	// locks; it must be safe for concurrent use and must not call back into
-	// the scheduler. Tests use it for channel-based synchronization instead
-	// of wall-clock polling.
+	// StateHook, when non-nil, is called synchronously after every lifecycle
+	// transition with the status taken as the state moved. Per job the calls
+	// come in transition order, one per transition: queued, each running
+	// attempt, then exactly one terminal call, done or failed (a hit at
+	// admission gets only done). The counts and the tenant's slot have
+	// moved by then. It runs outside scheduler locks, must be safe for
+	// concurrent use and must not call back into the scheduler. Tests use it
+	// for channel-based synchronization instead of wall-clock polling.
 	StateHook func(JobStatus)
 	// Tenants switches the API into keyed multi-tenant mode: submissions
 	// must carry a configured tenant's API key, and each tenant's
@@ -272,14 +274,8 @@ type job struct {
 	// log is the job-scoped logger (trace ID, job id, short key baked in).
 	log *obs.Logger
 	// queueSpan is the admission-to-dequeue wall span; set before the job is
-	// enqueued and ended by the dequeuing worker (ordered by the queue
-	// channel).
+	// enqueued and ended by the dequeuing worker (ordered by the queue).
 	queueSpan *obs.WallSpan
-	// admitted is closed once the submit has published the job's queued
-	// state. A worker can dequeue the job before that; it waits here, so
-	// queued comes first in the event log and the state hook sees one
-	// terminal state. Nil for a job served at admission.
-	admitted chan struct{}
 	// events is the job's replayable stream log behind
 	// GET /v1/jobs/{id}/events. Nil for a job served at admission, whose
 	// whole stream is its one terminal state event (see streamLog).
@@ -287,16 +283,13 @@ type job struct {
 	// counts is the scheduler's per-state tally, moved with state.
 	counts *jobCounts
 
-	// retired and batches are guarded by Scheduler.mu: retired marks the
-	// job as in the ring of finished jobs, and batches lists the batch
-	// streams its retention keeps alive.
-	retired bool
+	// batches lists the batch streams the job's retention keeps alive;
+	// guarded by Scheduler.mu.
 	batches []*batchStream
 
 	mu sync.Mutex
-	// quota is the registry whose tenant concurrency slot the job holds,
-	// nil once released: exactly once, on the move to a terminal state,
-	// before that state can be observed.
+	// quota is the registry whose tenant concurrency slot the job holds
+	// until its terminal move; nil when it holds none.
 	quota     *tenantRegistry
 	state     State
 	cached    bool
@@ -330,6 +323,10 @@ func (j *job) SimTrace() *obs.Recorder {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+func (j *job) statusLocked() JobStatus {
 	end := j.finished
 	if end.IsZero() {
 		end = time.Now()
@@ -355,44 +352,42 @@ func (j *job) status() JobStatus {
 	}
 }
 
-// setStateLocked moves j to st and the per-state counts with it; j.mu held.
-// A terminal st returns the tenant slot first, so no observer of the
-// terminal state can find the slot still taken.
-func (j *job) setStateLocked(st State) {
-	if st == StateDone || st == StateFailed {
-		j.releaseQuotaLocked()
+// outcome is what a terminal transition records: a done job's result key
+// and how it was served, or a failed job's error.
+type outcome struct {
+	resultKey         string
+	cached, coalesced bool
+	err               error
+}
+
+// moveLocked moves j to state to, and with it the per-state counts, the
+// attempt number of a running move and, on a terminal one, the outcome,
+// the tenant slot and the finish time. It returns the status every
+// observer of this transition gets. j.mu held, or j not yet published.
+func (j *job) moveLocked(to State, out outcome) JobStatus {
+	switch to {
+	case StateRunning:
+		j.attempt++
+	case StateDone, StateFailed:
+		if j.quota != nil {
+			j.quota.release(j.tenant)
+		}
+		j.resultKey, j.cached, j.coalesced = out.resultKey, out.cached, out.coalesced
+		if out.err != nil {
+			j.errMsg = out.err.Error()
+		}
+		j.finished = time.Now()
 	}
-	j.counts.of(j.state).Add(-1)
-	if n := j.counts.of(st).Add(1); st == StateRunning {
+	if j.state != "" {
+		j.counts.of(j.state).Add(-1)
+	}
+	if n := j.counts.of(to).Add(1); to == StateRunning {
 		for m := j.counts.runningMax.Load(); n > m && !j.counts.runningMax.CompareAndSwap(m, n); {
 			m = j.counts.runningMax.Load()
 		}
 	}
-	j.state = st
-}
-
-func (j *job) startAttempt() {
-	j.mu.Lock()
-	j.setStateLocked(StateRunning)
-	j.attempt++
-	j.mu.Unlock()
-}
-
-func (j *job) finish(resultKey string, cached bool) {
-	j.mu.Lock()
-	j.setStateLocked(StateDone)
-	j.resultKey = resultKey
-	j.cached = cached
-	j.finished = time.Now()
-	j.mu.Unlock()
-}
-
-func (j *job) fail(err error) {
-	j.mu.Lock()
-	j.setStateLocked(StateFailed)
-	j.errMsg = err.Error()
-	j.finished = time.Now()
-	j.mu.Unlock()
+	j.state = to
+	return j.statusLocked()
 }
 
 // onProgress feeds experiments.Options.Progress; it runs on simulation
@@ -507,19 +502,32 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// notify fans out j's current status after a lifecycle transition: the
-// state hook, the job's event stream, and — exactly once, on the first
-// terminal transition — the job's move into the ring of retained finished
-// jobs. Call sites hold no scheduler locks. Every path to a terminal state
-// funnels through here (done, failed, cancelled before start, coalesced,
-// drained, served at admission), which is what makes the stream close and
-// the retention bound exhaustive.
-func (s *Scheduler) notify(j *job) {
-	st := j.status()
+// transition moves j to state to under j.mu and hands the status taken
+// there to every observer. Per job, order comes from who calls it:
+// admission moves a job to queued (or, for a hit, done) and publishes
+// that before the job can be popped, and from then on only the worker
+// that popped it moves it. So observers see each job's transitions in
+// order, each once.
+func (s *Scheduler) transition(j *job, to State, out outcome) JobStatus {
+	j.mu.Lock()
+	st := j.moveLocked(to, out)
+	j.mu.Unlock()
+	s.publish(j, st)
+	return st
+}
+
+// publish gives one transition's status to the state hook and the job's
+// event log and, when it is terminal, cancels the job's context and puts
+// the job into the ring of retained finished jobs. Every path to a
+// terminal state ends here, which is what makes the stream close and the
+// retention bound exhaustive. It runs outside every scheduler lock.
+func (s *Scheduler) publish(j *job, st JobStatus) {
 	if s.cfg.StateHook != nil {
 		s.cfg.StateHook(st)
 	}
-	j.publishState(st)
+	if j.events != nil {
+		j.events.publishState(st)
+	}
 	if st.State == StateDone || st.State == StateFailed {
 		// Nothing runs under a terminal job's context any more; cancelling
 		// it detaches it from the root context, whose children would
@@ -530,14 +538,11 @@ func (s *Scheduler) notify(j *job) {
 }
 
 // retire puts finished job j into the ring of retained finished jobs,
-// evicting the oldest one once the ring is full. Idempotent.
+// evicting the oldest one once the ring is full. Each job's one terminal
+// transition calls it once.
 func (s *Scheduler) retire(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.retired {
-		return
-	}
-	j.retired = true
 	if s.ring == nil {
 		s.ring = make([]*job, s.ringCap)
 	}
@@ -549,15 +554,6 @@ func (s *Scheduler) retire(j *job) {
 	}
 	s.ring[s.ringNext] = j
 	s.ringNext = (s.ringNext + 1) % len(s.ring)
-}
-
-// releaseQuotaLocked returns j's tenant concurrency slot, exactly once;
-// j.mu held.
-func (j *job) releaseQuotaLocked() {
-	if j.quota != nil {
-		j.quota.release(j.tenant)
-		j.quota = nil
-	}
 }
 
 // Fingerprint returns the code fingerprint baked into this scheduler's
@@ -606,12 +602,13 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if _, ok, err := s.cfg.Store.GetBytes(ctx, key); err == nil && ok {
 		s.mu.Lock()
 		j := s.registerLocked(req, key, traceID, true)
+		st := j.moveLocked(StateDone, outcome{resultKey: key, cached: true})
 		s.mu.Unlock()
 		s.met.hits.Add(1)
 		if j.log.Enabled() {
 			j.log.Info("job served from cache at admission", "experiment", req.Experiment, "state", StateDone)
 		}
-		s.notify(j)
+		s.publish(j, st)
 		return j, nil
 	}
 
@@ -622,8 +619,8 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 		s.logFor(traceID).Warn("submission rejected: draining", "experiment", req.Experiment)
 		return nil, ErrDraining
 	}
-	// Tenant quota gates admission after the cache-hit check (a cached
-	// result costs nothing and never consumes quota) and before the job
+	// Tenant quota and queue capacity gate admission after the cache-hit
+	// check (a cached result never consumes quota) and before the job
 	// exists, so a rejection leaves no trace beyond the counters.
 	held, err := s.tenants.acquire(req.Tenant, s.queue.TenantDepth(req.Tenant))
 	if err != nil {
@@ -633,33 +630,27 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 			"experiment", req.Experiment, "tenant", req.Tenant, "error", err)
 		return nil, err
 	}
-	j := s.registerLocked(req, key, traceID, false)
-	if held {
-		j.mu.Lock()
-		j.quota = s.tenants
-		j.mu.Unlock()
-	}
-	full := !s.queue.push(j)
-	if full {
-		// Never reached a worker: the job leaves no record and no count.
-		delete(s.jobs, j.id)
-		s.counts.queued.Add(-1)
-	}
-	s.mu.Unlock()
-	if full {
-		j.cancel()
-		j.mu.Lock()
-		j.releaseQuotaLocked()
-		j.mu.Unlock()
+	if !s.queue.reserve(req.Tenant) {
+		s.mu.Unlock()
+		if held {
+			s.tenants.release(req.Tenant)
+		}
 		s.met.rejected.Add(1)
-		j.log.Warn("submission rejected: queue full", "experiment", req.Experiment, "capacity", s.queue.Cap())
+		s.logFor(traceID).Warn("submission rejected: queue full", "experiment", req.Experiment, "capacity", s.queue.Cap())
 		return nil, &QueueFullError{Capacity: s.queue.Cap()}
 	}
-	depth, _ := s.queue.depth()
+	j := s.registerLocked(req, key, traceID, false)
+	if held {
+		j.quota = s.tenants
+	}
+	st := j.moveLocked(StateQueued, outcome{})
+	s.mu.Unlock()
+	// Queued is published before the job can be popped, so it is the
+	// first transition every observer sees.
+	s.publish(j, st)
+	depth := s.queue.push(j)
 	j.log.Info("job queued", "experiment", req.Experiment, "state", StateQueued, "queue_depth", depth,
 		"tenant", j.tenant, "priority", j.priority)
-	s.notify(j)
-	close(j.admitted)
 	return j, nil
 }
 
@@ -687,10 +678,10 @@ func (s *Scheduler) logFor(traceID string) *obs.Logger {
 	return s.cfg.Log.With("trace_id", traceID)
 }
 
-// registerLocked creates and indexes a queued job, or with hit a job
-// already done from the cache. A hit gets none of what running needs: no
-// event log, no child of the root context, and a queue span only when
-// tracing is on.
+// registerLocked creates and indexes a job for its caller to move to its
+// first state: queued, or with hit done from the cache. A hit gets none of
+// what running needs: no event log, no child of the root context, and a
+// queue span only when tracing is on.
 func (s *Scheduler) registerLocked(req Request, key, traceID string, hit bool) *job {
 	s.nextSeq++
 	id := s.idPrefix + strconv.Itoa(s.nextSeq)
@@ -704,7 +695,6 @@ func (s *Scheduler) registerLocked(req Request, key, traceID string, hit bool) *
 		node:       s.cfg.NodeName,
 		tenant:     req.Tenant,
 		priority:   req.Priority,
-		state:      StateQueued,
 		counts:     &s.counts,
 		created:    time.Now(),
 	}
@@ -713,9 +703,7 @@ func (s *Scheduler) registerLocked(req Request, key, traceID string, hit bool) *
 	}
 	s.jobs[j.id] = j
 	if hit {
-		j.state, j.cached, j.resultKey, j.finished = StateDone, true, key, j.created
 		j.ctx, j.cancel = s.doneCtx, func() {}
-		s.counts.done.Add(1)
 		if s.cfg.Tracer.Enabled() {
 			// Never queued; commit the ~0 wait for a complete timeline.
 			s.cfg.Tracer.Start(traceID, "queue", "queue", "queue-wait",
@@ -723,12 +711,10 @@ func (s *Scheduler) registerLocked(req Request, key, traceID string, hit bool) *
 		}
 		return j
 	}
-	s.counts.queued.Add(1)
 	if req.Deadline > 0 {
 		j.deadline = j.created.Add(req.Deadline)
 	}
 	j.events = newEventLog(id, s.cfg.StreamLogCap, s.streams)
-	j.admitted = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
 	// The job's context carries its trace identity so store I/O and compute
 	// under it annotate the right trace.
@@ -817,9 +803,6 @@ func (s *Scheduler) worker() {
 // serves everyone behind it — so cancelling a batch leader costs the
 // followers nothing but their place in line.
 func (s *Scheduler) runBatch(batch []*job) {
-	for _, j := range batch {
-		<-j.admitted
-	}
 	if len(batch) > 1 {
 		s.met.batches.Add(1)
 		batch[0].log.Info("batch admission coalesced identical submissions",
@@ -837,24 +820,29 @@ func (s *Scheduler) runBatch(batch []*job) {
 			continue
 		}
 		for _, f := range batch[i+1:] {
-			f.queueSpan.End()
-			if err := f.ctx.Err(); err != nil {
-				f.fail(err)
-				s.met.failed.Add(1)
-				f.log.Warn("job cancelled before start", "error", err)
-				s.notify(f)
+			if s.dequeueCancelled(f) {
 				continue
 			}
-			f.mu.Lock()
-			f.coalesced = true
-			f.mu.Unlock()
-			f.finish(resultKey, true)
 			s.met.coalesced.Add(1)
 			f.log.Info("job served from coalesced batch", "leader", leader.id, "state", StateDone)
-			s.notify(f)
+			s.transition(f, StateDone, outcome{resultKey: resultKey, cached: true, coalesced: true})
 		}
 		return
 	}
+}
+
+// dequeueCancelled ends the queue wait of dequeued job j and, when j was
+// cancelled while queued, fails it and reports true.
+func (s *Scheduler) dequeueCancelled(j *job) bool {
+	j.queueSpan.End()
+	err := j.ctx.Err()
+	if err == nil {
+		return false
+	}
+	s.met.failed.Add(1)
+	j.log.Warn("job cancelled before start", "error", err)
+	s.transition(j, StateFailed, outcome{err: err})
+	return true
 }
 
 // runJob executes one job's attempt loop: each attempt runs under the
@@ -862,21 +850,13 @@ func (s *Scheduler) runBatch(batch []*job) {
 // cancelled and the retry budget lasts. It returns the job's result key
 // and whether it completed, so batch followers can ride the outcome.
 func (s *Scheduler) runJob(j *job) (string, bool) {
-	j.queueSpan.End()
-	if err := j.ctx.Err(); err != nil {
-		j.fail(err)
-		s.met.failed.Add(1)
-		j.log.Warn("job cancelled before start", "error", err)
-		s.notify(j)
+	if s.dequeueCancelled(j) {
 		return "", false
 	}
-
 	start := time.Now()
 	for {
-		j.startAttempt()
-		attempt := j.attempts()
+		attempt := s.transition(j, StateRunning, outcome{}).Attempt
 		j.log.Info("attempt started", "attempt", attempt, "experiment", j.experiment, "state", StateRunning)
-		s.notify(j)
 		sp := s.cfg.Tracer.Start(j.traceID, "scheduler", "attempt", fmt.Sprintf("attempt %d", attempt),
 			obs.WArg{Key: "job", Val: j.id}, obs.WArg{Key: "experiment", Val: j.experiment})
 		hit, err := s.attempt(j)
@@ -889,10 +869,9 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 			} else {
 				s.met.misses.Add(1)
 			}
-			j.finish(j.cacheKey, hit)
 			j.log.Info("job done", "attempt", attempt, "cached", hit, "state", StateDone,
 				"elapsed_seconds", time.Since(start).Seconds())
-			s.notify(j)
+			s.transition(j, StateDone, outcome{resultKey: j.cacheKey, cached: hit})
 			return j.cacheKey, true
 		}
 		sp.Annotate("outcome", "failed")
@@ -901,17 +880,16 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 			sp.Annotate("fault", inj.Class.String())
 		}
 		sp.End()
-		if j.ctx.Err() == nil && j.attempts() <= s.cfg.JobRetries {
+		if j.ctx.Err() == nil && attempt <= s.cfg.JobRetries {
 			s.met.retried.Add(1)
 			j.log.Warn("attempt failed, retrying", "attempt", attempt, "error", err)
 			continue
 		}
 		s.observeLatency(start)
 		s.met.failed.Add(1)
-		j.fail(err)
 		j.log.Error("job failed", "attempt", attempt, "state", StateFailed, "error", err,
 			"elapsed_seconds", time.Since(start).Seconds())
-		s.notify(j)
+		s.transition(j, StateFailed, outcome{err: err})
 		return "", false
 	}
 }
@@ -921,12 +899,6 @@ func (s *Scheduler) observeLatency(start time.Time) {
 	s.latency.Lock()
 	s.latency.h.Observe(time.Since(start).Seconds())
 	s.latency.Unlock()
-}
-
-func (j *job) attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempt
 }
 
 // attempt runs one execution attempt through the store's single-flight

@@ -8,7 +8,7 @@ package service
 // its overflowed events are dropped and the writer emits an EventDropped
 // marker carrying the resume ID, from which a reconnect with Last-Event-ID
 // replays the gap out of the retained log. Publishing is independent of
-// delivery: the scheduler's notify path appends and returns; all blocking
+// delivery: a job's lifecycle transition appends and returns; all blocking
 // I/O happens on the per-connection handler goroutine.
 //
 // Resume semantics: event IDs are 1-based and contiguous per stream. A
@@ -242,14 +242,8 @@ func (l *eventLog) subscribe(afterID uint64, remote string, buffer int) (*subscr
 	return sub, cancel
 }
 
-// publishState appends a lifecycle event to j's log, if it keeps one (and
-// closes the stream on a terminal event).
-func (j *job) publishState(st JobStatus) {
-	if j.events != nil {
-		j.events.publishState(st)
-	}
-}
-
+// publishState appends a lifecycle event, closing the stream on a terminal
+// one.
 func (l *eventLog) publishState(st JobStatus) {
 	data, err := json.Marshal(st)
 	if err != nil {

@@ -39,6 +39,11 @@ const (
 type transitionRecorder struct {
 	s                *Scheduler
 	running, release chan struct{}
+	// stall holds each queued transition's hook call open until a job ends
+	// or a grace period passes; ended closes at the first terminal call.
+	stall bool
+	ended chan struct{}
+	end   sync.Once
 
 	mu       sync.Mutex
 	seen     map[string][]JobStatus // hook calls per job id, in order
@@ -75,9 +80,24 @@ func (r *transitionRecorder) hook(js JobStatus) {
 		r.mismatch = append(r.mismatch, fmt.Sprintf("hook at %s %s: tenant holds %d slots, want %d", js.ID, stateLabel(js), got, active))
 	}
 	r.mu.Unlock()
-	if js.Options.Seed == blockSeed && js.State == StateRunning {
+	switch {
+	case js.Options.Seed == blockSeed && js.State == StateRunning:
 		r.running <- struct{}{}
 		<-r.release
+	case js.State == StateDone || js.State == StateFailed:
+		r.end.Do(func() { close(r.ended) })
+	case r.stall && js.State == StateQueued:
+		// A worker able to pop the job while its queued transition is
+		// still being published would run it to its end meanwhile.
+		select {
+		case <-r.ended:
+		case <-time.After(50 * time.Millisecond):
+		}
+		if now, _ := r.s.Job(js.ID); now.State != StateQueued {
+			r.mu.Lock()
+			r.mismatch = append(r.mismatch, fmt.Sprintf("job %s reached %s while its queued transition was being published", js.ID, now.State))
+			r.mu.Unlock()
+		}
 	}
 }
 
@@ -105,7 +125,7 @@ type transitionHarness struct {
 	released sync.Once
 }
 
-func newTransitionHarness(t *testing.T, cfg Config) *transitionHarness {
+func newTransitionHarness(t *testing.T, cfg Config, stall bool) *transitionHarness {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +139,8 @@ func newTransitionHarness(t *testing.T, cfg Config) *transitionHarness {
 		Experiment: "test-instant", Options: opts, Fingerprint: cfg.Fingerprint, Tables: "cached\n"}); err != nil {
 		t.Fatal(err)
 	}
-	r := &transitionRecorder{running: make(chan struct{}), release: make(chan struct{}),
-		seen: map[string][]JobStatus{}, last: map[string]JobStatus{}}
+	r := &transitionRecorder{running: make(chan struct{}), release: make(chan struct{}), ended: make(chan struct{}),
+		stall: stall, seen: map[string][]JobStatus{}, last: map[string]JobStatus{}}
 	cfg.StateHook = r.hook
 	s, err := New(cfg)
 	if err != nil {
@@ -190,9 +210,10 @@ func (h *transitionHarness) drain(d time.Duration) error {
 type transitionCase struct {
 	name string
 	cfg  Config
-	// panics arms a worker panic on the case's first attempt.
-	panics bool
-	run    func(h *transitionHarness)
+	// panics arms a worker panic on the case's first attempt; stall holds
+	// the queued hook call open (see transitionRecorder).
+	panics, stall bool
+	run           func(h *transitionHarness)
 	// want is every job's hook sequence by label; no other job may reach
 	// the hook.
 	want   map[string]string
@@ -210,6 +231,7 @@ var transitionCases = []transitionCase{
 	},
 	{
 		name:   "queued running done",
+		stall:  true,
 		run:    func(h *transitionHarness) { h.mustSubmit("A", 2) },
 		want:   map[string]string{"A": "queued running#1 done"},
 		counts: JobCounts{Done: 1, Total: 1},
@@ -372,7 +394,7 @@ func TestJobTransitions(t *testing.T) {
 				cfg.Faults = faults.New(faults.Config{Seed: 1,
 					Rules: map[faults.Class]faults.Rule{faults.WorkerPanic: {Every: 1, Max: 1}}})
 			}
-			h := newTransitionHarness(t, cfg)
+			h := newTransitionHarness(t, cfg, c.stall)
 			c.run(h)
 			if err := h.drain(10 * time.Second); err != nil {
 				t.Fatalf("Drain: %v", err)
