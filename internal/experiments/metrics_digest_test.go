@@ -41,3 +41,23 @@ func TestMetricsJSONDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestObservedFig7Allocs: collecting metrics costs a fig7 run at most twice
+// a plain run's allocations. Each bank access observes a histogram and two
+// counters, which allocate nothing; only tracing builds per-access spans.
+func TestObservedFig7Allocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweeps in -short mode")
+	}
+	run := func(sink *obs.Sink) {
+		if _, err := Run("fig7", Options{Seed: 1, Runs: 2, Quick: true, Parallelism: 1, Obs: sink}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := testing.AllocsPerRun(3, func() { run(nil) })
+	observed := testing.AllocsPerRun(3, func() { run(obs.NewSink(obs.Config{Metrics: true})) })
+	t.Logf("fig7 quick, runs 2: %.0f allocs plain, %.0f with metrics", plain, observed)
+	if observed > 2*plain {
+		t.Errorf("fig7 with metrics: %.0f allocs per run, want at most 2x the plain run's %.0f", observed, plain)
+	}
+}

@@ -201,7 +201,7 @@ func newBankObs(rec *obs.Recorder, cfg Config, pat Pattern) bankObs {
 
 // observe records one access: its queue depth on arrival at the bank
 // (reservations ahead of it, in service-time units), whether it contended,
-// and a bank-occupancy span for the trace.
+// and, when tracing, a bank-occupancy span.
 func (bo bankObs) observe(cfg Config, bank int, arrive, bStart, bEnd sim.Time) {
 	if bo.rec == nil {
 		return
@@ -215,8 +215,10 @@ func (bo bankObs) observe(cfg Config, bank int, arrive, bStart, bEnd sim.Time) {
 	if depth > 0 {
 		bo.contended[bank].Inc()
 	}
-	bo.rec.Span(bo.pid, bank, "bank", "access", uint64(bStart), uint64(bEnd),
-		obs.Arg{Key: "depth", Val: depth})
+	if bo.rec.Tracing() {
+		bo.rec.Span(bo.pid, bank, "bank", "access", uint64(bStart), uint64(bEnd),
+			obs.Arg{Key: "depth", Val: depth})
+	}
 }
 
 // pickFn chooses the target bank for one access, drawing from the
