@@ -360,11 +360,12 @@ type outcome struct {
 	err               error
 }
 
-// moveLocked moves j to state to, and with it the per-state counts, the
-// attempt number of a running move and, on a terminal one, the outcome,
-// the tenant slot and the finish time. It returns the status every
-// observer of this transition gets. j.mu held, or j not yet published.
-func (j *job) moveLocked(to State, out outcome) JobStatus {
+// moveLocked moves j to state to at time at, and with it the per-state
+// counts, the attempt number of a running move and, on a terminal one, the
+// outcome, the tenant slot and the finish time. It returns the status
+// every observer of this transition gets. j.mu held, or j not yet
+// published.
+func (j *job) moveLocked(to State, out outcome, at time.Time) JobStatus {
 	switch to {
 	case StateRunning:
 		j.attempt++
@@ -376,7 +377,7 @@ func (j *job) moveLocked(to State, out outcome) JobStatus {
 		if out.err != nil {
 			j.errMsg = out.err.Error()
 		}
-		j.finished = time.Now()
+		j.finished = at
 	}
 	if j.state != "" {
 		j.counts.of(j.state).Add(-1)
@@ -510,7 +511,7 @@ func New(cfg Config) (*Scheduler, error) {
 // order, each once.
 func (s *Scheduler) transition(j *job, to State, out outcome) JobStatus {
 	j.mu.Lock()
-	st := j.moveLocked(to, out)
+	st := j.moveLocked(to, out, time.Now())
 	j.mu.Unlock()
 	s.publish(j, st)
 	return st
@@ -602,7 +603,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if _, ok, err := s.cfg.Store.GetBytes(ctx, key); err == nil && ok {
 		s.mu.Lock()
 		j := s.registerLocked(req, key, traceID, true)
-		st := j.moveLocked(StateDone, outcome{resultKey: key, cached: true})
+		st := j.moveLocked(StateDone, outcome{resultKey: key, cached: true}, j.created)
 		s.mu.Unlock()
 		s.met.hits.Add(1)
 		if j.log.Enabled() {
@@ -643,7 +644,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request) (*job, error) {
 	if held {
 		j.quota = s.tenants
 	}
-	st := j.moveLocked(StateQueued, outcome{})
+	st := j.moveLocked(StateQueued, outcome{}, j.created)
 	s.mu.Unlock()
 	// Queued is published before the job can be popped, so it is the
 	// first transition every observer sees.
