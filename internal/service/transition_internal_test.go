@@ -44,6 +44,8 @@ type transitionRecorder struct {
 	stall bool
 	ended chan struct{}
 	end   sync.Once
+	// onQueued, when set, runs inside the hook call of a queued transition.
+	onQueued func()
 
 	mu       sync.Mutex
 	seen     map[string][]JobStatus // hook calls per job id, in order
@@ -86,6 +88,8 @@ func (r *transitionRecorder) hook(js JobStatus) {
 		<-r.release
 	case js.State == StateDone || js.State == StateFailed:
 		r.end.Do(func() { close(r.ended) })
+	case r.onQueued != nil && js.State == StateQueued:
+		r.onQueued()
 	case r.stall && js.State == StateQueued:
 		// A worker able to pop the job while its queued transition is
 		// still being published would run it to its end meanwhile.
@@ -115,7 +119,8 @@ func stateLabel(js JobStatus) string {
 	return string(js.State)
 }
 
-// transitionHarness runs one case: a scheduler with one worker, a store
+// transitionHarness runs one case: a scheduler with one worker unless the
+// case asks for more, a store
 // holding hitSeed's result, and job labels for the case to refer to.
 type transitionHarness struct {
 	t        *testing.T
@@ -130,7 +135,10 @@ func newTransitionHarness(t *testing.T, cfg Config, stall bool) *transitionHarne
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Store, cfg.Fingerprint, cfg.Workers = st, "test-fp", 1
+	cfg.Store, cfg.Fingerprint = st, "test-fp"
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
 	if cfg.Tenants == nil {
 		cfg.Tenants = []TenantConfig{{Name: transTenant, Key: "key-t", MaxActive: 8}}
 	}
@@ -318,6 +326,26 @@ var transitionCases = []transitionCase{
 		},
 		want:   map[string]string{"blocker": "queued running#1 done", "A": "queued running#1 done"},
 		counts: JobCounts{Done: 2, Total: 2},
+	},
+	{
+		// Drain begins while a job's queued state is being published: the
+		// job is admitted but not yet poppable, and every worker must stay
+		// for it, then exit.
+		name: "drain during admission",
+		cfg:  Config{Workers: 2},
+		run: func(h *transitionHarness) {
+			drained := make(chan error, 1)
+			h.r.onQueued = func() {
+				go func() { drained <- h.drain(10 * time.Second) }()
+				<-h.s.DrainBegun()
+			}
+			h.mustSubmit("A", 2)
+			if err := <-drained; err != nil {
+				h.t.Errorf("Drain: %v", err)
+			}
+		},
+		want:   map[string]string{"A": "queued running#1 done"},
+		counts: JobCounts{Done: 1, Total: 1},
 	},
 	{
 		name: "drain deadline",
