@@ -39,13 +39,11 @@ const (
 type transitionRecorder struct {
 	s                *Scheduler
 	running, release chan struct{}
-	// stall holds each queued transition's hook call open until a job ends
-	// or a grace period passes; ended closes at the first terminal call.
-	stall bool
+	// ended closes at the first terminal hook call.
 	ended chan struct{}
 	end   sync.Once
 	// onQueued, when set, runs inside the hook call of a queued transition.
-	onQueued func()
+	onQueued func(JobStatus)
 
 	mu       sync.Mutex
 	seen     map[string][]JobStatus // hook calls per job id, in order
@@ -89,19 +87,23 @@ func (r *transitionRecorder) hook(js JobStatus) {
 	case js.State == StateDone || js.State == StateFailed:
 		r.end.Do(func() { close(r.ended) })
 	case r.onQueued != nil && js.State == StateQueued:
-		r.onQueued()
-	case r.stall && js.State == StateQueued:
-		// A worker able to pop the job while its queued transition is
-		// still being published would run it to its end meanwhile.
-		select {
-		case <-r.ended:
-		case <-time.After(50 * time.Millisecond):
-		}
-		if now, _ := r.s.Job(js.ID); now.State != StateQueued {
-			r.mu.Lock()
-			r.mismatch = append(r.mismatch, fmt.Sprintf("job %s reached %s while its queued transition was being published", js.ID, now.State))
-			r.mu.Unlock()
-		}
+		r.onQueued(js)
+	}
+}
+
+// stallQueued holds a queued transition's hook call open until a job ends
+// or a grace period passes, and checks the job did not move meanwhile: a
+// worker able to pop the job while its queued transition is still being
+// published would run it to its end.
+func (r *transitionRecorder) stallQueued(js JobStatus) {
+	select {
+	case <-r.ended:
+	case <-time.After(50 * time.Millisecond):
+	}
+	if now, _ := r.s.Job(js.ID); now.State != StateQueued {
+		r.mu.Lock()
+		r.mismatch = append(r.mismatch, fmt.Sprintf("job %s reached %s while its queued transition was being published", js.ID, now.State))
+		r.mu.Unlock()
 	}
 }
 
@@ -130,7 +132,7 @@ type transitionHarness struct {
 	released sync.Once
 }
 
-func newTransitionHarness(t *testing.T, cfg Config, stall bool) *transitionHarness {
+func newTransitionHarness(t *testing.T, cfg Config) *transitionHarness {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +150,7 @@ func newTransitionHarness(t *testing.T, cfg Config, stall bool) *transitionHarne
 		t.Fatal(err)
 	}
 	r := &transitionRecorder{running: make(chan struct{}), release: make(chan struct{}), ended: make(chan struct{}),
-		stall: stall, seen: map[string][]JobStatus{}, last: map[string]JobStatus{}}
+		seen: map[string][]JobStatus{}, last: map[string]JobStatus{}}
 	cfg.StateHook = r.hook
 	s, err := New(cfg)
 	if err != nil {
@@ -218,10 +220,9 @@ func (h *transitionHarness) drain(d time.Duration) error {
 type transitionCase struct {
 	name string
 	cfg  Config
-	// panics arms a worker panic on the case's first attempt; stall holds
-	// the queued hook call open (see transitionRecorder).
-	panics, stall bool
-	run           func(h *transitionHarness)
+	// panics arms a worker panic on the case's first attempt.
+	panics bool
+	run    func(h *transitionHarness)
 	// want is every job's hook sequence by label; no other job may reach
 	// the hook.
 	want   map[string]string
@@ -238,9 +239,11 @@ var transitionCases = []transitionCase{
 		counts: JobCounts{Done: 1, Total: 1},
 	},
 	{
-		name:   "queued running done",
-		stall:  true,
-		run:    func(h *transitionHarness) { h.mustSubmit("A", 2) },
+		name: "queued running done",
+		run: func(h *transitionHarness) {
+			h.r.onQueued = h.r.stallQueued
+			h.mustSubmit("A", 2)
+		},
 		want:   map[string]string{"A": "queued running#1 done"},
 		counts: JobCounts{Done: 1, Total: 1},
 	},
@@ -335,7 +338,7 @@ var transitionCases = []transitionCase{
 		cfg:  Config{Workers: 2},
 		run: func(h *transitionHarness) {
 			drained := make(chan error, 1)
-			h.r.onQueued = func() {
+			h.r.onQueued = func(JobStatus) {
 				go func() { drained <- h.drain(10 * time.Second) }()
 				<-h.s.DrainBegun()
 			}
@@ -422,7 +425,7 @@ func TestJobTransitions(t *testing.T) {
 				cfg.Faults = faults.New(faults.Config{Seed: 1,
 					Rules: map[faults.Class]faults.Rule{faults.WorkerPanic: {Every: 1, Max: 1}}})
 			}
-			h := newTransitionHarness(t, cfg, c.stall)
+			h := newTransitionHarness(t, cfg)
 			c.run(h)
 			if err := h.drain(10 * time.Second); err != nil {
 				t.Fatalf("Drain: %v", err)
