@@ -100,10 +100,9 @@ func render(w io.Writer, client *http.Client, base string, metricsN int) error {
 	fmt.Fprintf(w, "queue   %d/%d waiting%s\n", st.Queue.Depth, st.Queue.Capacity, fmtTenants(st.Queue.Tenants))
 	fmt.Fprintf(w, "jobs    queued %d   running %d   done %d   failed %d   (total %d)\n",
 		st.Jobs.Queued, st.Jobs.Running, st.Jobs.Done, st.Jobs.Failed, st.Jobs.Total)
-	fmt.Fprintf(w, "sched   submitted %d   cache hit/miss %d/%d   retried %d   rejected %d   failed %d   inflight %d   coalesced %d (%d batches)\n",
+	fmt.Fprintf(w, "sched   submitted %d   cache hit/miss %d/%d   retried %d   rejected %d   failed %d   inflight %d\n",
 		st.Scheduler.Submitted, st.Scheduler.CacheHits, st.Scheduler.CacheMisses,
-		st.Scheduler.Retried, st.Scheduler.Rejected, st.Scheduler.Failed, st.Scheduler.Inflight,
-		st.Scheduler.Coalesced, st.Scheduler.CoalescedBatches)
+		st.Scheduler.Retried, st.Scheduler.Rejected, st.Scheduler.Failed, st.Scheduler.Inflight)
 	fmt.Fprintf(w, "store   mem %d (%.1f MB)   read-errors %d   checksum-fail %d   quarantined %d   degraded reads/writes %d/%d\n",
 		st.Store.MemEntries, float64(st.Store.MemBytes)/1e6, st.Store.ReadErrors, st.Store.ChecksumFailures,
 		st.Store.EntriesQuarantined, st.Store.ReadsDegraded, st.Store.WritesDegraded)

@@ -2,7 +2,7 @@ package cluster_test
 
 // Pins the serving tier's self-metrics, byte for byte: one goroutine drives
 // a fixed sequence through a two-node in-process cluster (cache hits, a
-// cold job, a retried job, a quota rejection, a coalesced pair, a
+// cold job, a retried job, a quota rejection, an identical pair, a
 // quarantined store read and one forwarded submit), then compares both
 // nodes' whole /metricsz bodies and the JSON of the scheduler, store and
 // cluster counters against literals. Only wall-clock values are normalised:
@@ -271,7 +271,8 @@ func TestPinServingMetricsExposition(t *testing.T) {
 	pinRun(t, a.sched, base, seed)
 
 	// alpha's one slot held by a blocked job: its next submit is rejected,
-	// and two identical beta submits queue behind it and run as one batch.
+	// and two identical beta submits queue behind it: the first computes,
+	// and the second, held in the queue meanwhile, is served its result.
 	started, release := armBlock()
 	seed, _ = pinSeed(t, nodes, 0, "cluster-block", used)
 	code, blocked := pinSubmit(t, base, "key-alpha", "cluster-block", seed)
@@ -293,8 +294,8 @@ func TestPinServingMetricsExposition(t *testing.T) {
 	close(release)
 	pinWait(t, a.sched, blocked.ID)
 	pinWait(t, a.sched, pair[0].ID)
-	if js := pinWait(t, a.sched, pair[1].ID); !js.Coalesced {
-		t.Fatal("second pair member was not coalesced")
+	if js := pinWait(t, a.sched, pair[1].ID); !js.Cached || js.Attempt != 1 {
+		t.Fatalf("second pair member: cached %v on attempt %d, want served from the first's result on attempt 1", js.Cached, js.Attempt)
 	}
 
 	// One submit owned by node 1, forwarded there and queued behind a job
@@ -340,13 +341,9 @@ func TestPinServingMetricsExposition(t *testing.T) {
 }
 
 const pinnedMetricsz0 = `# TYPE qsm_service_cache_hits_total counter
-qsm_service_cache_hits_total 2
+qsm_service_cache_hits_total 3
 # TYPE qsm_service_cache_misses_total counter
 qsm_service_cache_misses_total 5
-# TYPE qsm_service_coalesced_batches_total counter
-qsm_service_coalesced_batches_total 1
-# TYPE qsm_service_jobs_coalesced_total counter
-qsm_service_jobs_coalesced_total 1
 # TYPE qsm_service_jobs_failed_total counter
 qsm_service_jobs_failed_total 0
 # TYPE qsm_service_jobs_rejected_total counter
@@ -364,7 +361,7 @@ qsm_service_queue_depth 0
 # TYPE qsm_service_queue_depth_max gauge
 qsm_service_queue_depth_max 2
 # TYPE qsm_service_job_latency_seconds histogram
-qsm_service_job_latency_seconds_count 5
+qsm_service_job_latency_seconds_count 6
 # TYPE qsm_store_checksum_failures_total counter
 qsm_store_checksum_failures_total 1
 # TYPE qsm_store_entries_quarantined_total counter
@@ -382,7 +379,7 @@ qsm_store_mem_bytes_max MEM
 # TYPE qsm_stream_events_dropped_total counter
 qsm_stream_events_dropped_total 0
 # TYPE qsm_stream_events_published_total counter
-qsm_stream_events_published_total 18
+qsm_stream_events_published_total 19
 # TYPE qsm_stream_subscriptions_opened_total counter
 qsm_stream_subscriptions_opened_total 0
 # TYPE qsm_stream_subscribers gauge
@@ -435,10 +432,6 @@ const pinnedMetricsz1 = `# TYPE qsm_service_cache_hits_total counter
 qsm_service_cache_hits_total 0
 # TYPE qsm_service_cache_misses_total counter
 qsm_service_cache_misses_total 2
-# TYPE qsm_service_coalesced_batches_total counter
-qsm_service_coalesced_batches_total 0
-# TYPE qsm_service_jobs_coalesced_total counter
-qsm_service_jobs_coalesced_total 0
 # TYPE qsm_service_jobs_failed_total counter
 qsm_service_jobs_failed_total 0
 # TYPE qsm_service_jobs_rejected_total counter
@@ -499,6 +492,6 @@ qsm_cluster_requests_forwarded_total 0
 qsm_cluster_requests_local_total 1
 `
 
-const pinnedCounters0 = `{"scheduler":{"submitted":9,"rejected":1,"failed":0,"retried":1,"cache_hits":2,"cache_misses":5,"inflight":0,"coalesced":1,"coalesced_batches":1},"store":{"mem_entries":5,"mem_bytes":0,"read_errors":1,"entries_quarantined":1,"checksum_failures":1,"writes_degraded":0,"reads_degraded":0},"cluster":{"fallback_local":0,"forward_failures":0,"read_repairs":0,"replicate_failures":0,"replicated_in":0,"replicated_out":0,"requests_forwarded":1,"requests_local":9}}`
+const pinnedCounters0 = `{"scheduler":{"submitted":9,"rejected":1,"failed":0,"retried":1,"cache_hits":3,"cache_misses":5,"inflight":0},"store":{"mem_entries":5,"mem_bytes":0,"read_errors":1,"entries_quarantined":1,"checksum_failures":1,"writes_degraded":0,"reads_degraded":0},"cluster":{"fallback_local":0,"forward_failures":0,"read_repairs":0,"replicate_failures":0,"replicated_in":0,"replicated_out":0,"requests_forwarded":1,"requests_local":9}}`
 
-const pinnedCounters1 = `{"scheduler":{"submitted":2,"rejected":0,"failed":0,"retried":0,"cache_hits":0,"cache_misses":2,"inflight":0,"coalesced":0,"coalesced_batches":0},"store":{"mem_entries":2,"mem_bytes":0,"read_errors":0,"entries_quarantined":0,"checksum_failures":0,"writes_degraded":0,"reads_degraded":0},"cluster":{"fallback_local":0,"forward_failures":0,"read_repairs":0,"replicate_failures":0,"replicated_in":0,"replicated_out":0,"requests_forwarded":0,"requests_local":1}}`
+const pinnedCounters1 = `{"scheduler":{"submitted":2,"rejected":0,"failed":0,"retried":0,"cache_hits":0,"cache_misses":2,"inflight":0},"store":{"mem_entries":2,"mem_bytes":0,"read_errors":0,"entries_quarantined":0,"checksum_failures":0,"writes_degraded":0,"reads_degraded":0},"cluster":{"fallback_local":0,"forward_failures":0,"read_repairs":0,"replicate_failures":0,"replicated_in":0,"replicated_out":0,"requests_forwarded":0,"requests_local":1}}`

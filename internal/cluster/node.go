@@ -326,7 +326,8 @@ func (p *peer) httpc() *http.Client {
 }
 
 // handleSubmit routes one submission: the key's primary owner serves it
-// locally (its store single-flights identical submissions cluster-wide);
+// locally (its queue runs identical submissions one at a time, so the
+// cluster computes each key once);
 // any other node proxies to the live owners in replica order and falls
 // back to computing locally — deterministically byte-identical — only when
 // every remote owner is unreachable.

@@ -10,14 +10,14 @@
 // with SHA-256, so every node configured with the same member list, seed,
 // and vnode count computes the identical ring without any coordination —
 // membership is configuration (-peers), not consensus. Because submissions
-// for a key always route to its primary owner, the owner's store
-// single-flights concurrent identical submissions cluster-wide; because the
-// store is content-addressed and the simulator deterministic, any node can
-// fall back to computing any key locally when the owners are unreachable
-// and still produce byte-identical results. The cluster layer therefore
-// moves latency and placement around, never results — which is what the
-// cluster chaos harness (internal/faults) asserts under peer_down and
-// peer_slow schedules.
+// for a key always route to its primary owner, the owner's admission queue
+// runs concurrent identical submissions one at a time cluster-wide, so one
+// simulation serves them all; because the store is content-addressed and
+// the simulator deterministic, any node can fall back to computing any key
+// locally when the owners are unreachable and still produce byte-identical
+// results. The cluster layer therefore moves latency and placement around,
+// never results — which is what the cluster chaos harness (internal/faults)
+// asserts under peer_down and peer_slow schedules.
 package cluster
 
 import (

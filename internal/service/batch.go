@@ -6,8 +6,8 @@ package service
 // job's events re-sequenced into a single log served on
 // GET /v1/batches/{id}/events, closed by an EventBatch summary once the
 // last member reaches a terminal state. Identical submissions inside one
-// batch coalesce exactly like identical submissions across requests: the
-// queue batches them behind one simulation.
+// batch are deduplicated exactly like identical submissions across
+// requests: the queue runs one, and the rest are served its result.
 
 import (
 	"context"

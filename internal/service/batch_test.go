@@ -1,9 +1,9 @@
 package service_test
 
 // Batch submission and aggregate-stream tests, plus the leader-cancel
-// regressions: cancelling the leader of a coalesced batch must not taint
-// its followers — the next follower is promoted and one simulation still
-// serves everyone behind it.
+// regressions: cancelling the first of several identical jobs must not
+// taint the duplicates queued behind it — the next one computes, and one
+// simulation still serves everyone behind it.
 
 import (
 	"context"
@@ -97,8 +97,8 @@ func TestBatchShapeErrors(t *testing.T) {
 }
 
 // TestBatchCoalescesIdenticalMembers: identical submissions inside one
-// batch coalesce behind one simulation, exactly like identical submissions
-// across requests.
+// batch share one simulation, exactly like identical submissions across
+// requests: the other members are served from the store.
 func TestBatchCoalescesIdenticalMembers(t *testing.T) {
 	started, release := resetBlock()
 	_, c := newServer(t, service.Config{Workers: 1})
@@ -136,25 +136,24 @@ func TestBatchCoalescesIdenticalMembers(t *testing.T) {
 		t.Fatalf("summary = %+v, want all 3 done", sum)
 	}
 
-	// Exactly one member computed; the other two rode it.
-	var computed, coalesced int
+	// Exactly one member computed; the other two were served from it.
+	var computed, cached int
 	for _, item := range bs.Jobs {
-		js := waitTerminal(t, c, item.Job.ID)
-		if js.Coalesced {
-			coalesced++
-		} else if !js.Cached {
+		if js := waitTerminal(t, c, item.Job.ID); js.Cached {
+			cached++
+		} else {
 			computed++
 		}
 	}
-	if computed != 1 || coalesced != 2 {
-		t.Errorf("batch ran %d computes with %d coalesced, want 1 and 2", computed, coalesced)
+	if computed != 1 || cached != 2 {
+		t.Errorf("batch ran %d computes with %d cached, want 1 and 2", computed, cached)
 	}
 	waitTerminal(t, c, blocker.ID)
 }
 
-// TestBatchLeaderCancelBeforeRun: the leader of a coalesced batch is
-// cancelled while still queued. The first follower must be promoted to
-// leader and compute; the second still coalesces behind it.
+// TestBatchLeaderCancelBeforeRun: the first of three identical jobs is
+// cancelled while still queued. The second must compute; the third is
+// served from its result.
 func TestBatchLeaderCancelBeforeRun(t *testing.T) {
 	started, release := resetBlock()
 	s := newSched(t, service.Config{Workers: 1, QueueCap: 16})
@@ -174,19 +173,19 @@ func TestBatchLeaderCancelBeforeRun(t *testing.T) {
 		t.Errorf("cancelled leader = %s (%q), want failed with context.Canceled", js.State, js.Error)
 	}
 	j1 := waitJob(t, s, f1.ID)
-	if j1.State != service.StateDone || j1.Coalesced {
-		t.Errorf("promoted follower = %s coalesced=%v, want done via its own run", j1.State, j1.Coalesced)
+	if j1.State != service.StateDone || j1.Cached {
+		t.Errorf("promoted follower = %s cached=%v, want done via its own run", j1.State, j1.Cached)
 	}
 	j2 := waitJob(t, s, f2.ID)
-	if j2.State != service.StateDone || !j2.Coalesced {
-		t.Errorf("second follower = %s coalesced=%v, want done riding the promoted leader", j2.State, j2.Coalesced)
+	if j2.State != service.StateDone || !j2.Cached {
+		t.Errorf("second follower = %s cached=%v, want done from the promoted leader's result", j2.State, j2.Cached)
 	}
 	waitJob(t, s, blocker.ID)
 }
 
-// TestBatchLeaderCancelMidRun: the leader is cancelled while executing. Its
-// attempt unwinds with the context error, the follower is promoted and
-// completes, and the last member still coalesces.
+// TestBatchLeaderCancelMidRun: the first job is cancelled while executing.
+// Its attempt unwinds with the context error, the second computes, and the
+// third is served from its result.
 func TestBatchLeaderCancelMidRun(t *testing.T) {
 	started1, release1 := resetBlock()
 	s := newSched(t, service.Config{Workers: 1, QueueCap: 16})
@@ -201,7 +200,7 @@ func TestBatchLeaderCancelMidRun(t *testing.T) {
 	f1 := submit(t, s, "test-block", 231)
 	f2 := submit(t, s, "test-block", 231)
 
-	close(release1) // blocker finishes; the worker pops the coalesced batch
+	close(release1) // blocker finishes; the worker pops the leader
 	<-started2      // leader is mid-run
 	if !s.Cancel(leader.ID) {
 		t.Fatal("cancel returned false")
@@ -213,12 +212,12 @@ func TestBatchLeaderCancelMidRun(t *testing.T) {
 	close(release2)
 
 	j1 := waitJob(t, s, f1.ID)
-	if j1.State != service.StateDone || j1.Coalesced {
-		t.Errorf("promoted follower = %s coalesced=%v, want done via its own run", j1.State, j1.Coalesced)
+	if j1.State != service.StateDone || j1.Cached {
+		t.Errorf("promoted follower = %s cached=%v, want done via its own run", j1.State, j1.Cached)
 	}
 	j2 := waitJob(t, s, f2.ID)
-	if j2.State != service.StateDone || !j2.Coalesced {
-		t.Errorf("second follower = %s coalesced=%v, want done riding the promoted leader", j2.State, j2.Coalesced)
+	if j2.State != service.StateDone || !j2.Cached {
+		t.Errorf("second follower = %s cached=%v, want done from the promoted leader's result", j2.State, j2.Cached)
 	}
 	waitJob(t, s, blocker.ID)
 }

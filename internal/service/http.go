@@ -50,7 +50,7 @@ const ForwardedHeader = "X-Qsm-Forwarded"
 // same defaults the CLI uses (seed 0, 5 runs, full sweeps). Tenant,
 // priority, and deadline shape queuing only — they never enter the cache
 // key, so identical experiments submitted by different tenants share one
-// cached result (and coalesce into one simulation when queued together).
+// cached result (and one simulation when queued together).
 type SubmitRequest struct {
 	Experiment string `json:"experiment"`
 	Seed       int64  `json:"seed"`

@@ -2,18 +2,13 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"log/slog"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -113,86 +108,4 @@ func init() {
 	experiments.Register("test-instant", "returns at once (internal test)", func(o experiments.Options) (*experiments.Result, error) {
 		return &experiments.Result{ID: "test-instant", Title: "test"}, nil
 	})
-}
-
-// stallQueued is a log handler that holds the goroutine logging "job
-// queued" until ended is closed or grace runs out. It shares no lock
-// between goroutines, so other log lines pass while one is held.
-type stallQueued struct {
-	ended <-chan struct{}
-	grace time.Duration
-}
-
-func (h stallQueued) Enabled(context.Context, slog.Level) bool { return true }
-func (h stallQueued) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h stallQueued) WithGroup(string) slog.Handler            { return h }
-
-func (h stallQueued) Handle(_ context.Context, r slog.Record) error {
-	if r.Message == "job queued" {
-		select {
-		case <-h.ended:
-		case <-time.After(h.grace):
-		}
-	}
-	return nil
-}
-
-// TestQueuedPublishedBeforeRunning: a cold job's submit announces the job
-// queued before any worker runs it. The submitting goroutine is held inside
-// its "job queued" log line until the job ends or a grace period passes. A
-// worker free to run the job meanwhile finishes it first: the queued event
-// is lost and the state hook sees the terminal state twice. With the
-// ordering kept, the worker waits and the grace period ends the hold.
-func TestQueuedPublishedBeforeRunning(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ended := make(chan struct{})
-	var (
-		mu     sync.Mutex
-		states []State
-		end    sync.Once
-	)
-	s, err := New(Config{Store: st, Workers: 1, Fingerprint: "test-fp",
-		Log: obs.NewSlogLogger(slog.New(stallQueued{ended: ended, grace: 200 * time.Millisecond})),
-		StateHook: func(js JobStatus) {
-			mu.Lock()
-			states = append(states, js.State)
-			mu.Unlock()
-			if js.State == StateDone {
-				end.Do(func() { close(ended) })
-			}
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := s.submit(context.Background(), Request{Experiment: "test-instant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drain returns once the worker has finished with the job.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	got := slices.Clone(states)
-	mu.Unlock()
-	if want := []State{StateQueued, StateRunning, StateDone}; !slices.Equal(got, want) {
-		t.Errorf("state hook saw %v, want %v", got, want)
-	}
-	j.events.mu.Lock()
-	var logged []State
-	for _, ev := range j.events.events {
-		var js JobStatus
-		if ev.Type == EventState && json.Unmarshal(ev.Data, &js) == nil {
-			logged = append(logged, js.State)
-		}
-	}
-	j.events.mu.Unlock()
-	if want := []State{StateQueued, StateRunning, StateDone}; !slices.Equal(logged, want) {
-		t.Errorf("event log holds %v, want %v", logged, want)
-	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,19 +24,23 @@ import (
 //   - Tenant fairness: remaining ties go to the tenant served least
 //     recently, so two tenants flooding unevenly still alternate; within a
 //     tenant, submission order (seq) wins — single-tenant workloads keep
-//     the old FIFO behaviour exactly.
+//     the old FIFO behaviour exactly. A tenant's record lives only while it
+//     has jobs queued or places reserved, so a tenant whose queue emptied
+//     ranks like a new one, and the table never outgrows the queue.
 //
-// popBatch additionally coalesces admission: every queued job sharing the
-// dequeued leader's cache key (any tenant — the result is identical by
-// determinism) leaves the queue in the same batch, and the scheduler runs
-// one simulation for all of them.
+// One dedup rule sits on top of the policy: pop never hands out a job whose
+// cache key a popped job still holds. A duplicate waits in the queue, not
+// on a worker, until the worker running its key calls finish; popped then,
+// it finds the result in the store, or computes it if that run failed. So
+// identical jobs, from any tenant, are served one at a time, the way
+// identical accesses queue at one memory location.
 //
 // Admission takes two steps: reserve claims a place, counted in depth and
-// capacity, and push fills it for popBatch to find. The scheduler
-// publishes the job's queued state in between.
+// capacity, and push fills it for pop to find. The scheduler publishes the
+// job's queued state in between.
 //
-// All methods are safe for concurrent use. Blocking happens only in
-// popBatch; reserve is non-blocking admission control.
+// All methods are safe for concurrent use. Blocking happens only in pop;
+// reserve is non-blocking admission control.
 type admitQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -46,6 +51,8 @@ type admitQueue struct {
 	// of them not yet pushed, and maxSize is size's high-water mark.
 	size, reserved, maxSize int
 	tenants                 map[string]*tenantQueue
+	// running holds the cache key of every popped job not yet finished.
+	running map[string]bool
 	// serveSeq orders pops; each tenant's lastServed is the serveSeq of its
 	// most recent dequeue, and fairness prefers the smallest.
 	serveSeq uint64
@@ -62,6 +69,7 @@ func newAdmitQueue(capacity int, aging time.Duration) *admitQueue {
 		capacity: capacity,
 		aging:    aging,
 		tenants:  map[string]*tenantQueue{},
+		running:  map[string]bool{},
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -157,8 +165,8 @@ func (q *admitQueue) reserve(tenant string) bool {
 	return true
 }
 
-// push puts j into the place reserve claimed for it, where popBatch finds
-// it, and returns the queue depth it leaves.
+// push puts j into the place reserve claimed for it, where pop finds it,
+// and returns the queue depth it leaves.
 func (q *admitQueue) push(j *job) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -170,8 +178,8 @@ func (q *admitQueue) push(j *job) int {
 	return q.size
 }
 
-// close wakes all blocked workers; popBatch drains the remaining jobs,
-// reserved ones included, and then reports done.
+// close wakes all blocked workers; pop drains the remaining jobs, reserved
+// ones included, and then reports done.
 func (q *admitQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -211,65 +219,67 @@ func (q *admitQueue) better(a, b *job, now time.Time) bool {
 	return a.seq < b.seq
 }
 
-// popBatch blocks until a job is available (or the queue is closed and
-// empty), selects the best job under the policy, and returns it together
-// with every queued job sharing its cache key — identical submissions ride
-// the leader's single simulation. The leader is batch[0]; followers follow
-// in submission order. ok=false means closed and drained.
-func (q *admitQueue) popBatch() (batch []*job, ok bool) {
+// pop blocks until a job is eligible (or the queue is closed and empty)
+// and returns the best eligible job under the policy. A job is eligible
+// when no popped job with its cache key has finished. ok=false means closed
+// and drained.
+func (q *admitQueue) pop() (j *job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == q.reserved {
+	for {
 		if q.closed && q.size == 0 {
 			return nil, false
 		}
+		if j = q.best(); j != nil {
+			break
+		}
 		q.cond.Wait()
 	}
-	now := time.Now()
-	var leader *job
-	for _, tq := range q.tenants {
-		// Within a tenant only the front of each aged-priority class can
-		// win, but scanning all queued jobs keeps the policy exact; queue
-		// capacity bounds the scan.
-		for _, j := range tq.jobs {
-			if leader == nil || q.better(j, leader, now) {
-				leader = j
-			}
-		}
-	}
-	batch = append(batch, leader)
-	for _, tq := range q.tenants {
-		for _, j := range tq.jobs {
-			if j != leader && j.cacheKey == leader.cacheKey {
-				batch = append(batch, j)
-			}
-		}
-	}
-	// Followers complete in submission order for deterministic test
-	// observation; the leader stays first.
-	if len(batch) > 2 {
-		rest := batch[1:]
-		for i := 1; i < len(rest); i++ {
-			for k := i; k > 0 && rest[k].seq < rest[k-1].seq; k-- {
-				rest[k], rest[k-1] = rest[k-1], rest[k]
-			}
-		}
-	}
+	q.running[j.cacheKey] = true
 	q.serveSeq++
-	for _, j := range batch {
-		tq := q.tenants[j.tenant]
-		tq.lastServed = q.serveSeq
-		for i, x := range tq.jobs {
-			if x == j {
-				tq.jobs = append(tq.jobs[:i], tq.jobs[i+1:]...)
-				break
-			}
-		}
-		q.size--
+	tq := q.tenants[j.tenant]
+	tq.lastServed = q.serveSeq
+	tq.jobs = slices.DeleteFunc(tq.jobs, func(x *job) bool { return x == j })
+	if len(tq.jobs) == 0 && tq.reserved == 0 {
+		delete(q.tenants, j.tenant)
 	}
+	q.size--
 	if q.closed && q.size == 0 {
 		// Workers left waiting on a reserved place can now exit.
 		q.cond.Broadcast()
 	}
-	return batch, true
+	return j, true
+}
+
+// best returns the eligible queued job the policy ranks first, or nil.
+// Within a tenant only the front of each aged-priority class can win, but
+// scanning all queued jobs keeps the policy exact; queue capacity bounds
+// the scan. q.mu held.
+func (q *admitQueue) best() *job {
+	now := time.Now()
+	var win *job
+	for _, tq := range q.tenants {
+		for _, j := range tq.jobs {
+			if !q.running[j.cacheKey] && (win == nil || q.better(j, win, now)) {
+				win = j
+			}
+		}
+	}
+	return win
+}
+
+// finish releases key, which a popped job held until its worker finished
+// with it, and wakes a worker when a duplicate was waiting on it.
+func (q *admitQueue) finish(key string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	delete(q.running, key)
+	for _, tq := range q.tenants {
+		for _, j := range tq.jobs {
+			if j.cacheKey == key {
+				q.cond.Signal()
+				return
+			}
+		}
+	}
 }

@@ -134,6 +134,35 @@ func TestQueueTenantFairness(t *testing.T) {
 	}
 }
 
+// TestQueueTenantTieBreak pins the fairness tie-break while every tenant
+// involved still has jobs queued: new tenants first in submission order,
+// then whoever was served least recently.
+func TestQueueTenantTieBreak(t *testing.T) {
+	s := newSched(t, service.Config{Workers: 1})
+	release, blocker := blockWorker(t, s, 970)
+
+	var a, b, c []string
+	for i := int64(0); i < 3; i++ {
+		a = append(a, submitQ(t, s, "test-block", 971+i, "tenant-a", 0, 0).ID)
+	}
+	for i := int64(0); i < 3; i++ {
+		b = append(b, submitQ(t, s, "test-block", 974+i, "tenant-b", 0, 0).ID)
+	}
+	for i := int64(0); i < 2; i++ {
+		c = append(c, submitQ(t, s, "test-block", 977+i, "tenant-c", 0, 0).ID)
+	}
+	close(release)
+
+	ids := append(append(append([]string{blocker}, a...), b...), c...)
+	order := finishOrder(t, s, ids...)
+	want := []string{blocker, a[0], b[0], c[0], a[1], b[1], c[1], a[2], b[2]}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completion order = %v, want %v (round-robin, least recently served first)", order, want)
+		}
+	}
+}
+
 // TestQueueAgingPreventsStarvation gives a low-priority job a head start of
 // many aging steps and checks it outranks a fresh high-priority job: the
 // no-starvation guarantee.
@@ -158,38 +187,38 @@ func TestQueueAgingPreventsStarvation(t *testing.T) {
 }
 
 // TestQueueBatchCoalescing queues three identical submissions (two tenants)
-// and checks one simulation serves all three: the leader computes, the
-// followers finish coalesced with the same result key.
+// and checks one simulation serves all three: the first computes, and each
+// duplicate, popped once the key it waited on finished, runs one attempt
+// that the store serves, with the same result key.
 func TestQueueBatchCoalescing(t *testing.T) {
 	s := newSched(t, service.Config{Workers: 1})
 	release, _ := blockWorker(t, s, 950)
 
-	leader := submitQ(t, s, "fig7", 951, "tenant-a", 0, 0)
-	f1 := submitQ(t, s, "fig7", 951, "tenant-a", 0, 0)
-	f2 := submitQ(t, s, "fig7", 951, "tenant-b", 0, 0)
-	if f1.CacheKey != leader.CacheKey || f2.CacheKey != leader.CacheKey {
+	first := submitQ(t, s, "fig7", 951, "tenant-a", 0, 0)
+	d1 := submitQ(t, s, "fig7", 951, "tenant-a", 0, 0)
+	d2 := submitQ(t, s, "fig7", 951, "tenant-b", 0, 0)
+	if d1.CacheKey != first.CacheKey || d2.CacheKey != first.CacheKey {
 		t.Fatalf("identical submissions got different cache keys")
 	}
 	close(release)
 
-	ld := waitJob(t, s, leader.ID)
-	w1 := waitJob(t, s, f1.ID)
-	w2 := waitJob(t, s, f2.ID)
-	if ld.State != service.StateDone || ld.Coalesced {
-		t.Fatalf("leader = %+v, want done and not coalesced", ld)
+	fs := waitJob(t, s, first.ID)
+	w1 := waitJob(t, s, d1.ID)
+	w2 := waitJob(t, s, d2.ID)
+	if fs.State != service.StateDone || fs.Cached {
+		t.Fatalf("first = %+v, want done and computed", fs)
 	}
-	for _, f := range []service.JobStatus{w1, w2} {
-		if f.State != service.StateDone || !f.Coalesced || !f.Cached {
-			t.Fatalf("follower = %+v, want done, coalesced, cached", f)
+	for _, d := range []service.JobStatus{w1, w2} {
+		if d.State != service.StateDone || !d.Cached || d.Attempt != 1 {
+			t.Fatalf("duplicate = %+v, want done and cached on attempt 1", d)
 		}
-		if f.ResultKey != ld.ResultKey {
-			t.Fatalf("follower result key %s != leader %s", f.ResultKey, ld.ResultKey)
+		if d.ResultKey != fs.ResultKey {
+			t.Fatalf("duplicate result key %s != first %s", d.ResultKey, fs.ResultKey)
 		}
 	}
-	st := s.Status()
-	if st.Scheduler.Coalesced != 2 || st.Scheduler.CoalescedBatches != 1 {
-		t.Errorf("coalesce counters = %d jobs / %d batches, want 2 / 1",
-			st.Scheduler.Coalesced, st.Scheduler.CoalescedBatches)
+	// The blocker and the first job computed; the duplicates hit.
+	if st := s.Status(); st.Scheduler.CacheMisses != 2 || st.Scheduler.CacheHits != 2 {
+		t.Errorf("cache hit/miss = %d/%d, want 2/2", st.Scheduler.CacheHits, st.Scheduler.CacheMisses)
 	}
 }
 

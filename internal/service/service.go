@@ -7,8 +7,9 @@
 // standard serving-stack vocabulary, applied to parameter-sweep simulations.
 //
 // Identical submissions are served from the store: a hit at admission
-// completes the job without queuing, and two concurrent identical jobs
-// share one simulation through the store's single-flight path. Because the
+// completes the job without queuing, and the admission queue never hands a
+// worker a job whose cache key another worker is running, so a duplicate
+// waits in the queue and then finds the result in the store. Because the
 // simulator is deterministic in the keyed options, cached tables are
 // byte-identical to recomputation.
 //
@@ -201,13 +202,10 @@ type JobStatus struct {
 	// Tenant and Priority echo the submission's queuing identity.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority int    `json:"priority,omitempty"`
-	// Cached reports the job was served from the result store (at admission
-	// or by sharing another job's in-flight computation).
+	// Cached reports the job was served from the result store, at admission
+	// or when a worker found the result there.
 	Cached   bool   `json:"cached"`
 	CacheKey string `json:"cache_key"`
-	// Coalesced reports the job was batch-admitted behind an identical
-	// queued submission and served from its leader's single simulation.
-	Coalesced bool `json:"coalesced,omitempty"`
 	// ResultKey addresses the result under /v1/results/{key} once done.
 	ResultKey string `json:"result_key,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -293,7 +291,6 @@ type job struct {
 	quota     *tenantRegistry
 	state     State
 	cached    bool
-	coalesced bool
 	errMsg    string
 	resultKey string
 	attempt   int
@@ -341,7 +338,6 @@ func (j *job) statusLocked() JobStatus {
 		Priority:       j.priority,
 		State:          j.state,
 		Cached:         j.cached,
-		Coalesced:      j.coalesced,
 		CacheKey:       j.cacheKey,
 		ResultKey:      j.resultKey,
 		Error:          j.errMsg,
@@ -355,9 +351,9 @@ func (j *job) statusLocked() JobStatus {
 // outcome is what a terminal transition records: a done job's result key
 // and how it was served, or a failed job's error.
 type outcome struct {
-	resultKey         string
-	cached, coalesced bool
-	err               error
+	resultKey string
+	cached    bool
+	err       error
 }
 
 // moveLocked moves j to state to at time at, and with it the per-state
@@ -373,7 +369,7 @@ func (j *job) moveLocked(to State, out outcome, at time.Time) JobStatus {
 		if j.quota != nil {
 			j.quota.release(j.tenant)
 		}
-		j.resultKey, j.cached, j.coalesced = out.resultKey, out.cached, out.coalesced
+		j.resultKey, j.cached = out.resultKey, out.cached
 		if out.err != nil {
 			j.errMsg = out.err.Error()
 		}
@@ -439,11 +435,10 @@ type Scheduler struct {
 	// met counts scheduler events; WriteMetricsText and Status read it at
 	// scrape time, so counting takes no lock.
 	met struct {
-		submitted, rejected, failed, retried atomic.Uint64
-		hits, misses, coalesced, batches     atomic.Uint64
+		submitted, rejected, failed, retried, hits, misses atomic.Uint64
 	}
 	// latency is the one locked series: obs recorders are single-goroutine,
-	// and the job-latency histogram is observed once per computed job.
+	// and the job-latency histogram is observed once per job a worker ran.
 	latency struct {
 		sync.Mutex
 		rec *obs.Recorder
@@ -788,47 +783,12 @@ func (s *Scheduler) Cancel(id string) bool {
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
-		batch, ok := s.queue.popBatch()
+		j, ok := s.queue.pop()
 		if !ok {
 			return
 		}
-		s.runBatch(batch)
-	}
-}
-
-// runBatch executes one dequeued batch: the leader runs the simulation, and
-// every coalesced follower (identical cache key, possibly other tenants) is
-// completed from the leader's result without touching a worker. A cancelled
-// or failed leader does not taint its followers: the next follower is
-// promoted to leader and runs its own attempt loop — one simulation still
-// serves everyone behind it — so cancelling a batch leader costs the
-// followers nothing but their place in line.
-func (s *Scheduler) runBatch(batch []*job) {
-	if len(batch) > 1 {
-		s.met.batches.Add(1)
-		batch[0].log.Info("batch admission coalesced identical submissions",
-			"followers", len(batch)-1, "experiment", batch[0].experiment)
-	}
-	for i := 0; i < len(batch); i++ {
-		leader := batch[i]
-		if i > 0 {
-			leader.log.Info("follower promoted to batch leader", "cancelled_leader", batch[i-1].id)
-		}
-		resultKey, ok := s.runJob(leader)
-		if !ok {
-			// Leader cancelled or failed: promote the next follower. runJob
-			// already failed this job with its own error.
-			continue
-		}
-		for _, f := range batch[i+1:] {
-			if s.dequeueCancelled(f) {
-				continue
-			}
-			s.met.coalesced.Add(1)
-			f.log.Info("job served from coalesced batch", "leader", leader.id, "state", StateDone)
-			s.transition(f, StateDone, outcome{resultKey: resultKey, cached: true, coalesced: true})
-		}
-		return
+		s.runJob(j)
+		s.queue.finish(j.cacheKey)
 	}
 }
 
@@ -848,11 +808,10 @@ func (s *Scheduler) dequeueCancelled(j *job) bool {
 
 // runJob executes one job's attempt loop: each attempt runs under the
 // per-job timeout, and a failed attempt is retried while the job is not
-// cancelled and the retry budget lasts. It returns the job's result key
-// and whether it completed, so batch followers can ride the outcome.
-func (s *Scheduler) runJob(j *job) (string, bool) {
+// cancelled and the retry budget lasts.
+func (s *Scheduler) runJob(j *job) {
 	if s.dequeueCancelled(j) {
-		return "", false
+		return
 	}
 	start := time.Now()
 	for {
@@ -873,7 +832,7 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 			j.log.Info("job done", "attempt", attempt, "cached", hit, "state", StateDone,
 				"elapsed_seconds", time.Since(start).Seconds())
 			s.transition(j, StateDone, outcome{resultKey: j.cacheKey, cached: hit})
-			return j.cacheKey, true
+			return
 		}
 		sp.Annotate("outcome", "failed")
 		sp.Annotate("error", err.Error())
@@ -891,7 +850,7 @@ func (s *Scheduler) runJob(j *job) (string, bool) {
 		j.log.Error("job failed", "attempt", attempt, "state", StateFailed, "error", err,
 			"elapsed_seconds", time.Since(start).Seconds())
 		s.transition(j, StateFailed, outcome{err: err})
-		return "", false
+		return
 	}
 }
 
@@ -902,8 +861,8 @@ func (s *Scheduler) observeLatency(start time.Time) {
 	s.latency.Unlock()
 }
 
-// attempt runs one execution attempt through the store's single-flight
-// path, bounded by the per-job timeout.
+// attempt runs one execution attempt through the store, which serves a
+// result a finished duplicate left there, bounded by the per-job timeout.
 func (s *Scheduler) attempt(j *job) (hit bool, err error) {
 	runCtx, cancel := j.ctx, func() {}
 	if s.cfg.JobTimeout > 0 {
@@ -1020,8 +979,6 @@ func (s *Scheduler) WriteMetricsText(w io.Writer) error {
 	rec.Counter("service", "jobs_retried", "").Add(c.Retried)
 	rec.Counter("service", "cache_hits", "").Add(c.CacheHits)
 	rec.Counter("service", "cache_misses", "").Add(c.CacheMisses)
-	rec.Counter("service", "jobs_coalesced", "").Add(c.Coalesced)
-	rec.Counter("service", "coalesced_batches", "").Add(c.CoalescedBatches)
 	// A gauge renders its value and high-water mark; setting the mark
 	// first leaves both.
 	g := rec.Gauge("service", "inflight_jobs", "")

@@ -284,6 +284,49 @@ func TestConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {
 	}
 }
 
+// TestDuplicatesAmongDistinctRunOnce: identical submissions interleaved
+// with distinct ones on two workers run one simulation between them, and
+// every duplicate ends done with the same result key.
+func TestDuplicatesAmongDistinctRunOnce(t *testing.T) {
+	started, release := resetBlock()
+	s := newSched(t, service.Config{Workers: 2, QueueCap: 16})
+
+	const dupSeed, n = 300, 6
+	var dups, all []string
+	for i := int64(0); i < n; i++ {
+		dups = append(dups, submit(t, s, "test-block", dupSeed).ID)
+		all = append(all, dups[i], submit(t, s, "test-block", dupSeed+1+i).ID)
+	}
+	close(release)
+	var key string
+	for _, id := range all {
+		js := waitJob(t, s, id)
+		if js.State != service.StateDone {
+			t.Fatalf("job %s = %s (%s), want done", id, js.State, js.Error)
+		}
+		if js.Options.Seed == dupSeed {
+			if key == "" {
+				key = js.ResultKey
+			}
+			if js.ResultKey != key {
+				t.Errorf("duplicate %s landed on %s, want %s", id, js.ResultKey, key)
+			}
+		}
+	}
+	runs := map[int64]int{}
+	for len(started) > 0 {
+		runs[<-started]++
+	}
+	if runs[dupSeed] != 1 {
+		t.Errorf("%d identical submissions ran %d simulations, want 1", n, runs[dupSeed])
+	}
+	for i := int64(1); i <= n; i++ {
+		if runs[dupSeed+i] != 1 {
+			t.Errorf("distinct seed %d ran %d simulations, want 1", dupSeed+i, runs[dupSeed+i])
+		}
+	}
+}
+
 func TestJobFailure(t *testing.T) {
 	s := newSched(t, service.Config{})
 	js := waitJob(t, s, submit(t, s, "test-fail", 1).ID)

@@ -49,25 +49,19 @@ type SchedulerCounters struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	Inflight    int64  `json:"inflight"`
-	// Coalesced counts jobs served from a batch leader's simulation;
-	// CoalescedBatches counts the multi-job batches themselves.
-	Coalesced        uint64 `json:"coalesced"`
-	CoalescedBatches uint64 `json:"coalesced_batches"`
 }
 
 // counters reads the scheduler's self-metrics. Inflight is the running
 // job count.
 func (s *Scheduler) counters() SchedulerCounters {
 	return SchedulerCounters{
-		Submitted:        s.met.submitted.Load(),
-		Rejected:         s.met.rejected.Load(),
-		Failed:           s.met.failed.Load(),
-		Retried:          s.met.retried.Load(),
-		CacheHits:        s.met.hits.Load(),
-		CacheMisses:      s.met.misses.Load(),
-		Inflight:         s.counts.running.Load(),
-		Coalesced:        s.met.coalesced.Load(),
-		CoalescedBatches: s.met.batches.Load(),
+		Submitted:   s.met.submitted.Load(),
+		Rejected:    s.met.rejected.Load(),
+		Failed:      s.met.failed.Load(),
+		Retried:     s.met.retried.Load(),
+		CacheHits:   s.met.hits.Load(),
+		CacheMisses: s.met.misses.Load(),
+		Inflight:    s.counts.running.Load(),
 	}
 }
 

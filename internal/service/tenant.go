@@ -13,7 +13,7 @@ package service
 // tenant's concurrency slot at admission (cache hits never consume quota —
 // they cost nothing) and releases it exactly once when it reaches a
 // terminal state, before that state is visible, on whichever path got it
-// there: done, failed, cancelled, coalesced, or drained. Rejections surface as *QuotaError, which the HTTP
+// there: done, failed, cancelled, or drained. Rejections surface as *QuotaError, which the HTTP
 // layer maps to 429 with a Retry-After. In a cluster, quotas apply on the
 // node that admits the job.
 

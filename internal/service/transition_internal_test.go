@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +31,34 @@ const (
 	// blockSeed is the seed of the blocker, a job whose running transition
 	// holds the one worker until the case releases it.
 	blockSeed = 99
+	// parkSeed is the seed of the owner a case parks inside its run with
+	// park, and of its duplicates.
+	parkSeed = 5
 )
+
+// parking is the test-park experiment's switch. Armed, the next run signals
+// parked and then waits inside the simulation for release or for its
+// context to end, as a long sweep unwinds at its next point. Every other
+// run returns at once.
+var parking struct {
+	armed           atomic.Bool
+	parked, release chan struct{}
+}
+
+func init() {
+	experiments.Register("test-park", "parks the run it is armed for (internal test)", func(o experiments.Options) (*experiments.Result, error) {
+		if !parking.armed.CompareAndSwap(true, false) {
+			return &experiments.Result{ID: "test-park", Title: "test"}, nil
+		}
+		parking.parked <- struct{}{}
+		select {
+		case <-parking.release:
+			return &experiments.Result{ID: "test-park", Title: "test"}, nil
+		case <-o.Context.Done():
+			return nil, o.Context.Err()
+		}
+	})
+}
 
 // transitionRecorder is the state hook under test. Inside the hook it also
 // checks the counts and the tenant's slots against the states the hook has
@@ -108,15 +136,16 @@ func (r *transitionRecorder) stallQueued(js JobStatus) {
 }
 
 // stateLabel names one observed status: its state, the attempt number of a
-// running one, and how a done one was served.
+// running one, how a done one was served and whether a failed one was
+// cancelled.
 func stateLabel(js JobStatus) string {
 	switch {
 	case js.State == StateRunning:
 		return fmt.Sprintf("running#%d", js.Attempt)
-	case js.State == StateDone && js.Coalesced:
-		return "done(coalesced)"
 	case js.State == StateDone && js.Cached:
 		return "done(cached)"
+	case js.State == StateFailed && strings.Contains(js.Error, context.Canceled.Error()):
+		return "failed(cancelled)"
 	}
 	return string(js.State)
 }
@@ -130,6 +159,7 @@ type transitionHarness struct {
 	r        *transitionRecorder
 	ids      map[string]string // label -> job id
 	released sync.Once
+	unparked sync.Once
 }
 
 func newTransitionHarness(t *testing.T, cfg Config) *transitionHarness {
@@ -158,8 +188,12 @@ func newTransitionHarness(t *testing.T, cfg Config) *transitionHarness {
 	}
 	r.s = s
 	h := &transitionHarness{t: t, s: s, r: r, ids: map[string]string{}}
+	parking.armed.Store(false)
+	// One buffered signal: the one armed run never blocks on it.
+	parking.parked, parking.release = make(chan struct{}, 1), make(chan struct{})
 	t.Cleanup(func() {
 		h.unblock()
+		h.unpark()
 		h.drain(10 * time.Second)
 	})
 	return h
@@ -169,9 +203,18 @@ func transReq(seed int64) Request {
 	return Request{Experiment: "test-instant", Options: experiments.Options{Seed: seed}.Key(), Tenant: transTenant}
 }
 
+// parkReq is the parked owner's request; its duplicates send the same.
+func parkReq() Request {
+	return Request{Experiment: "test-park", Options: experiments.Options{Seed: parkSeed}.Key(), Tenant: transTenant}
+}
+
 // submit admits a job under label, or returns the rejection.
 func (h *transitionHarness) submit(label string, seed int64) error {
-	js, err := h.s.Submit(transReq(seed))
+	return h.submitReq(label, transReq(seed))
+}
+
+func (h *transitionHarness) submitReq(label string, req Request) error {
+	js, err := h.s.Submit(req)
 	if err == nil {
 		h.ids[label] = js.ID
 	}
@@ -182,6 +225,44 @@ func (h *transitionHarness) mustSubmit(label string, seed int64) {
 	h.t.Helper()
 	if err := h.submit(label, seed); err != nil {
 		h.t.Fatalf("submit %s: %v", label, err)
+	}
+}
+
+// duplicate admits a job under label with the parked owner's cache key.
+func (h *transitionHarness) duplicate(label string) {
+	h.t.Helper()
+	if err := h.submitReq(label, parkReq()); err != nil {
+		h.t.Fatalf("submit %s: %v", label, err)
+	}
+}
+
+// park submits the owner under label and returns once it is parked inside
+// its simulation.
+func (h *transitionHarness) park(label string) {
+	h.t.Helper()
+	parking.armed.Store(true)
+	if err := h.submitReq(label, parkReq()); err != nil {
+		h.t.Fatal(err)
+	}
+	select {
+	case <-parking.parked:
+	case <-time.After(10 * time.Second):
+		h.t.Fatal("the owner never parked")
+	}
+}
+
+// unpark lets the parked owner's simulation finish; idempotent.
+func (h *transitionHarness) unpark() { h.unparked.Do(func() { close(parking.release) }) }
+
+// firstEnd waits for the first job to end. With the owner parked on one of
+// two workers, that is a distinct job the other worker ran: a duplicate
+// waiting for its key must not hold that worker.
+func (h *transitionHarness) firstEnd() {
+	h.t.Helper()
+	select {
+	case <-h.r.ended:
+	case <-time.After(10 * time.Second):
+		h.t.Error("no job ended while the owner ran: its duplicate holds the other worker")
 	}
 }
 
@@ -270,7 +351,7 @@ var transitionCases = []transitionCase{
 			h.cancel("A")
 			h.unblock()
 		},
-		want:   map[string]string{"blocker": "queued running#1 done", "A": "queued failed"},
+		want:   map[string]string{"blocker": "queued running#1 done", "A": "queued failed(cancelled)"},
 		counts: JobCounts{Done: 1, Failed: 1, Total: 2},
 	},
 	{
@@ -282,7 +363,7 @@ var transitionCases = []transitionCase{
 			h.unblock()
 		},
 		want: map[string]string{"blocker": "queued running#1 done",
-			"A": "queued running#1 done", "B": "queued done(coalesced)"},
+			"A": "queued running#1 done", "B": "queued running#1 done(cached)"},
 		counts: JobCounts{Done: 3, Total: 3},
 	},
 	{
@@ -295,7 +376,7 @@ var transitionCases = []transitionCase{
 			h.unblock()
 		},
 		want: map[string]string{"blocker": "queued running#1 done",
-			"A": "queued running#1 done", "B": "queued failed"},
+			"A": "queued running#1 done", "B": "queued failed(cancelled)"},
 		counts: JobCounts{Done: 2, Failed: 1, Total: 3},
 	},
 	{
@@ -308,8 +389,59 @@ var transitionCases = []transitionCase{
 			h.unblock()
 		},
 		want: map[string]string{"blocker": "queued running#1 done",
-			"A": "queued failed", "B": "queued running#1 done"},
+			"A": "queued failed(cancelled)", "B": "queued running#1 done"},
 		counts: JobCounts{Done: 2, Failed: 1, Total: 3},
+	},
+	{
+		// The owner fails; its duplicate was never cancelled, so it
+		// computes for itself.
+		name: "owner cancelled mid-run, duplicate computes",
+		cfg:  Config{Workers: 2},
+		run: func(h *transitionHarness) {
+			h.park("A")
+			h.duplicate("B")
+			h.mustSubmit("C", 3)
+			h.firstEnd()
+			h.cancel("A")
+		},
+		want: map[string]string{"A": "queued running#1 failed(cancelled)",
+			"B": "queued running#1 done", "C": "queued running#1 done"},
+		counts: JobCounts{Done: 2, Failed: 1, Total: 3},
+	},
+	{
+		name: "duplicate cancelled while its key runs",
+		cfg:  Config{Workers: 2},
+		run: func(h *transitionHarness) {
+			h.park("A")
+			h.duplicate("B")
+			h.mustSubmit("C", 3)
+			h.firstEnd()
+			h.cancel("B")
+			h.unpark()
+		},
+		want: map[string]string{"A": "queued running#1 done",
+			"B": "queued failed(cancelled)", "C": "queued running#1 done"},
+		counts: JobCounts{Done: 2, Failed: 1, Total: 3},
+	},
+	{
+		name: "duplicate queued while its key runs",
+		cfg:  Config{Workers: 2},
+		run: func(h *transitionHarness) {
+			h.park("A")
+			h.duplicate("B")
+			h.mustSubmit("C", 3)
+			h.firstEnd()
+			if js, _ := h.s.Job(h.ids["B"]); js.State != StateQueued {
+				h.t.Errorf("duplicate is %s while its key runs, want queued", js.State)
+			}
+			if n := h.s.counts.running.Load(); n != 1 {
+				h.t.Errorf("%d jobs running while the owner runs alone, want 1", n)
+			}
+			h.unpark()
+		},
+		want: map[string]string{"A": "queued running#1 done",
+			"B": "queued running#1 done(cached)", "C": "queued running#1 done"},
+		counts: JobCounts{Done: 3, Total: 3},
 	},
 	{
 		name: "drained",
@@ -366,7 +498,7 @@ var transitionCases = []transitionCase{
 				h.t.Errorf("Drain = %v, want the deadline", err)
 			}
 		},
-		want:   map[string]string{"blocker": "queued running#1 done", "A": "queued failed"},
+		want:   map[string]string{"blocker": "queued running#1 done", "A": "queued failed(cancelled)"},
 		counts: JobCounts{Done: 1, Failed: 1, Total: 2},
 	},
 	{

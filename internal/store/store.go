@@ -3,9 +3,9 @@
 // deterministic fields of experiments.Options, a code fingerprint); the
 // value is the experiment's rendered tables plus its bench record and
 // metrics JSON. Entries live on disk under a cache directory with an
-// in-memory LRU in front, and GetOrCompute deduplicates concurrent
-// identical computations single-flight, so two simultaneous submissions of
-// the same experiment run one simulation.
+// in-memory LRU in front. The store does not deduplicate concurrent
+// computations of one key: its caller (the service's admission queue)
+// never runs two at once.
 //
 // An entry has one stored representation, its wire encoding: indented JSON
 // plus a newline, produced once by Put. The disk file holds those bytes, the
@@ -105,7 +105,6 @@ type Store struct {
 	// scrapedMemBytes is the largest memBytes a metrics scrape has seen,
 	// rendered as mem_bytes_max.
 	scrapedMemBytes int64
-	flights         map[string]*flight
 
 	// met counts the store's degradation events, indexed like
 	// metricNames; WriteMetricsText and Stats read it at scrape time.
@@ -132,12 +131,6 @@ type resident struct {
 	wire []byte
 }
 
-// flight is one in-progress computation other callers wait on.
-type flight struct {
-	done chan struct{}
-	err  error
-}
-
 // Open creates (if needed) the cache directory and returns a store over it.
 // maxMem bounds the in-memory LRU entry count; <= 0 means DefaultMaxMem.
 // Disk entries are never evicted by the store.
@@ -154,12 +147,11 @@ func OpenConfig(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: creating cache dir: %w", err)
 	}
 	return &Store{
-		dir:     cfg.Dir,
-		max:     cfg.MaxMem,
-		faults:  cfg.Faults,
-		mem:     map[string]*list.Element{},
-		lru:     list.New(),
-		flights: map[string]*flight{},
+		dir:    cfg.Dir,
+		max:    cfg.MaxMem,
+		faults: cfg.Faults,
+		mem:    map[string]*list.Element{},
+		lru:    list.New(),
 	}, nil
 }
 
@@ -439,13 +431,10 @@ func (s *Store) memUsage() (entries int, bytes int64) {
 	return s.lru.Len(), s.memBytes
 }
 
-// GetOrCompute returns the entry for key, running compute to fill a miss.
-// Concurrent calls for the same key are deduplicated single-flight: one
-// caller computes while the rest block and share the outcome. hit reports
-// whether the returned entry came from cache (memory, disk, or another
-// caller's in-flight computation) rather than this caller's own compute.
-// Errors are never cached; after a failed flight, waiters receive the
-// shared error and the next fresh call recomputes.
+// GetOrCompute returns the entry for key, running compute to fill a miss
+// and storing what it returns. hit reports whether the entry came from the
+// cache (memory or disk) rather than from compute. Concurrent calls for one
+// key each compute on a miss; errors are never cached.
 //
 // Storage failures degrade rather than propagate: a read error falls
 // through to computation (counted as reads_degraded) and a failed disk
@@ -453,9 +442,8 @@ func (s *Store) memUsage() (entries int, bytes int64) {
 // compute errors (and an entry that cannot be encoded) are the only errors
 // GetOrCompute returns.
 //
-// The entry is decoded from the stored encoding, so every caller, the
-// computing one included, receives its own copy; see GetOrComputeBytes for
-// the serving path's form.
+// The entry is decoded from the stored encoding, so every caller receives
+// its own copy; see GetOrComputeBytes for the serving path's form.
 func (s *Store) GetOrCompute(key string, compute func() (*Entry, error)) (*Entry, bool, error) {
 	wire, hit, err := s.GetOrComputeBytes(context.Background(), key, compute)
 	if err != nil {
@@ -467,10 +455,8 @@ func (s *Store) GetOrCompute(key string, compute func() (*Entry, error)) (*Entry
 
 // GetOrComputeBytes is GetOrCompute under a request context, returning the
 // wire encoding instead of a decoded entry (shared, read-only — see
-// GetBytes). The embedded read and write emit store spans, a caller blocked
-// on another caller's in-flight computation emits a "store.flight-wait" span
-// (making single-flight dedup visible on the timeline), and degraded paths
-// log with the trace ID.
+// GetBytes). The embedded read and write emit store spans, and degraded
+// paths log with the trace ID.
 func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func() (*Entry, error)) ([]byte, bool, error) {
 	tc := obs.TraceContextFrom(ctx)
 	wire, ok, err := s.GetBytes(ctx, key)
@@ -483,54 +469,24 @@ func (s *Store) GetOrComputeBytes(ctx context.Context, key string, compute func(
 		s.met[readDegraded].Add(1)
 		tc.Logger().Warn("store read degraded to compute-through", "key", ShortKey(key), "error", err)
 	}
-	for {
-		s.mu.Lock()
-		if wire, ok := s.lookup(key); ok {
-			s.mu.Unlock()
-			return wire, true, nil
-		}
-		f, inflight := s.flights[key]
-		if !inflight {
-			f = &flight{done: make(chan struct{})}
-			s.flights[key] = f
-		}
-		s.mu.Unlock()
-		if inflight {
-			sp := tc.Start("store", "store", "store.flight-wait", obs.WArg{Key: "key", Val: ShortKey(key)})
-			<-f.done
-			sp.End()
-			if f.err != nil {
-				return nil, false, f.err
-			}
-			// The winner's encoding landed in memory before the flight
-			// closed, so the retry hits.
-			continue
-		}
-		e, err := compute()
-		if err == nil {
-			var perr error
-			if wire, perr = s.PutCtx(ctx, e); wire == nil {
-				err = perr
-			} else if perr != nil {
-				// Degrade to memory-only caching: the result is correct,
-				// only its persistence failed.
-				s.met[writeDegraded].Add(1)
-				tc.Logger().Warn("store write degraded to memory-only", "key", ShortKey(key), "error", perr)
-				s.mu.Lock()
-				s.insert(e.Key, wire)
-				s.mu.Unlock()
-			}
-		}
-		f.err = err
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, false, err
-		}
-		return wire, false, nil
+	e, err := compute()
+	if err != nil {
+		return nil, false, err
 	}
+	wire, err = s.PutCtx(ctx, e)
+	if wire == nil {
+		return nil, false, err
+	}
+	if err != nil {
+		// Degrade to memory-only caching: the result is correct, only its
+		// persistence failed.
+		s.met[writeDegraded].Add(1)
+		tc.Logger().Warn("store write degraded to memory-only", "key", ShortKey(key), "error", err)
+		s.mu.Lock()
+		s.insert(e.Key, wire)
+		s.mu.Unlock()
+	}
+	return wire, false, nil
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file and

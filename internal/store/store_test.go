@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,98 +423,6 @@ func TestMetricsMemBytesMax(t *testing.T) {
 	}
 }
 
-// barrier holds a transition open until a test has seen every party reach it:
-// parties Arrive (and block), the test Waits for all arrivals, then Releases.
-type barrier struct{ arrival, release sync.WaitGroup }
-
-func newBarrier(parties int) *barrier {
-	b := &barrier{}
-	b.arrival.Add(parties)
-	b.release.Add(1)
-	return b
-}
-
-func (b *barrier) Arrive()  { b.arrival.Done(); b.release.Wait() }
-func (b *barrier) Wait()    { b.arrival.Wait() }
-func (b *barrier) Release() { b.release.Done() }
-
-func TestGetOrComputeSingleFlight(t *testing.T) {
-	s, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(20)
-	var computes atomic.Int32
-	const callers = 8
-	// The flight is held open inside compute until all eight callers have
-	// been handed to the store, so the seven that do not compute meet it.
-	var entered sync.WaitGroup
-	entered.Add(callers)
-	flight := newBarrier(1)
-	var wg sync.WaitGroup
-	hits := make([]bool, callers)
-	got := make([]*Entry, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			entered.Done()
-			e, hit, err := s.GetOrCompute(key, func() (*Entry, error) {
-				computes.Add(1)
-				flight.Arrive()
-				return testEntry(key, "tables"), nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			hits[i], got[i] = hit, e
-		}(i)
-	}
-	flight.Wait()
-	entered.Wait()
-	flight.Release()
-	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Errorf("%d concurrent identical requests ran %d computations, want 1", callers, got)
-	}
-	winner := -1
-	for i, h := range hits {
-		if !h {
-			if winner >= 0 {
-				t.Errorf("callers %d and %d both reported a miss, want exactly the computing one", winner, i)
-			}
-			winner = i
-		}
-	}
-	if winner < 0 {
-		t.Fatal("no caller reported a miss")
-	}
-	// The waiters receive entries equal to the winner's, each its own copy.
-	for i, e := range got {
-		if e == nil {
-			continue // already reported
-		}
-		if !reflect.DeepEqual(e, got[winner]) {
-			t.Errorf("caller %d got %+v, winner got %+v", i, e, got[winner])
-		}
-		if i != winner && e == got[winner] {
-			t.Errorf("caller %d shares the winner's *Entry", i)
-		}
-	}
-	if e := got[winner]; e.Tables != "tables" || e.Checksum == "" || !e.ChecksumOK() {
-		t.Errorf("winner's entry: tables %q checksum %q", e.Tables, e.Checksum)
-	}
-
-	// A later call is a plain memory hit with no recomputation.
-	if _, hit, err := s.GetOrCompute(key, func() (*Entry, error) {
-		t.Error("compute ran on a warm cache")
-		return nil, errors.New("unreachable")
-	}); err != nil || !hit {
-		t.Errorf("warm GetOrCompute = (hit=%v, %v)", hit, err)
-	}
-}
-
 func TestGetOrComputeErrorNotCached(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -534,6 +440,25 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	}
 	if e.Tables != "ok" {
 		t.Errorf("retry tables = %q", e.Tables)
+	}
+
+	// A later call is a plain memory hit with no recomputation, and it gets
+	// an entry equal to the computing call's but its own copy.
+	warm, hit, err := s.GetOrCompute(key, func() (*Entry, error) {
+		t.Error("compute ran on a warm cache")
+		return nil, errors.New("unreachable")
+	})
+	if err != nil || !hit {
+		t.Fatalf("warm GetOrCompute = (hit=%v, %v)", hit, err)
+	}
+	if !reflect.DeepEqual(warm, e) {
+		t.Errorf("warm call got %+v, computing call got %+v", warm, e)
+	}
+	if warm == e {
+		t.Error("warm call shares the computing call's *Entry")
+	}
+	if warm.Checksum == "" || !warm.ChecksumOK() {
+		t.Errorf("warm entry checksum %q does not verify", warm.Checksum)
 	}
 }
 
