@@ -150,10 +150,13 @@ func TestPinJobRouting(t *testing.T) {
 	owner.srv.Close()
 	front.node.CheckPeers(ctx)
 	third.node.CheckPeers(ctx)
-	checkRoutes(t, "dead owner", js.ID, byRole, roles, missing("THIRD"), missing("FRONT")[:3])
+	// THIRD never saw the submit, so it has nothing to replay. A DELETE
+	// through FRONT does not resubmit a job only to cancel it.
+	checkRoutes(t, "dead owner", js.ID, byRole, roles, missing("THIRD"), missing("FRONT")[1:2])
 
-	// The events stream through FRONT fails over and aliases the dead
-	// owner's ID to a local job; every route through FRONT then resolves it.
-	checkRoutes(t, "failover", js.ID, byRole, roles, found("FRONT", "job-FRONT-1", "FRONT")[3:])
+	// A GET through FRONT fails over, as the events stream does, and aliases
+	// the dead owner's ID to a local job; every route through FRONT then
+	// resolves it.
+	checkRoutes(t, "failover", js.ID, byRole, roles, found("FRONT", "job-FRONT-1", "FRONT")[:1])
 	checkRoutes(t, "aliased", js.ID, byRole, roles, found("FRONT", "job-FRONT-1", "FRONT"))
 }
