@@ -269,17 +269,11 @@ func (q *admitQueue) best() *job {
 }
 
 // finish releases key, which a popped job held until its worker finished
-// with it, and wakes a worker when a duplicate was waiting on it.
+// with it, and wakes a worker in case a duplicate was waiting on it. The
+// woken pop re-checks best, so a wake with nothing eligible costs one scan.
 func (q *admitQueue) finish(key string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	delete(q.running, key)
-	for _, tq := range q.tenants {
-		for _, j := range tq.jobs {
-			if j.cacheKey == key {
-				q.cond.Signal()
-				return
-			}
-		}
-	}
+	q.cond.Signal()
 }

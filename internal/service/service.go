@@ -387,17 +387,6 @@ func (j *job) moveLocked(to State, out outcome, at time.Time) JobStatus {
 	return j.statusLocked()
 }
 
-// onProgress feeds experiments.Options.Progress; it runs on simulation
-// worker goroutines.
-func (j *job) onProgress(p experiments.Progress) {
-	j.mu.Lock()
-	j.progress.Done++
-	j.progress.SweepPoints = p.Points
-	j.progress.SweepRuns = p.Runs
-	j.mu.Unlock()
-	j.publishProgress()
-}
-
 // Scheduler accepts experiment jobs, runs them on a bounded worker pool,
 // and memoizes results through the store.
 type Scheduler struct {

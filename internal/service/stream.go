@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -265,25 +266,29 @@ func (s *Scheduler) streamLog(j *job) *eventLog {
 	return l
 }
 
-// publishProgress appends a progress event when anything is watching; an
-// unwatched job skips the marshal and the append entirely, so streaming
-// costs nothing on jobs nobody subscribed to.
-func (j *job) publishProgress() {
+// onProgress feeds experiments.Options.Progress; it runs on simulation
+// worker goroutines. It counts the finished run and, when anything watches
+// the job, publishes the count in the same hold of j.mu, so the done values
+// on one job's stream strictly increase. An unwatched job skips the marshal
+// and the append, so streaming costs nothing on jobs nobody subscribed to.
+// Lock order: j.mu, then eventLog.mu, then a batch forward (batchStream.mu,
+// then the batch's eventLog.mu); no path takes j.mu under any of those.
+func (j *job) onProgress(p experiments.Progress) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.progress.Done++
+	j.progress.SweepPoints = p.Points
+	j.progress.SweepRuns = p.Runs
 	if j.events == nil || !j.events.watched() {
 		return
 	}
-	j.mu.Lock()
-	p := j.progress
-	id := j.id
-	j.mu.Unlock()
 	data, err := json.Marshal(struct {
 		Job string `json:"job"`
 		JobProgress
-	}{Job: id, JobProgress: p})
-	if err != nil {
-		return
+	}{Job: j.id, JobProgress: j.progress})
+	if err == nil {
+		j.events.publish(EventProgress, data, false, false)
 	}
-	j.events.publish(EventProgress, data, false, false)
 }
 
 // resumeAfter extracts the stream resume position: the Last-Event-ID header

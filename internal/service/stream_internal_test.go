@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // publishN appends n state-like events to l.
@@ -219,5 +221,46 @@ func TestServeStreamEmitsDroppedMarkerWithResumeID(t *testing.T) {
 	}
 	if s.streams.dropped.Load() == 0 {
 		t.Error("hub drop counter never moved")
+	}
+}
+
+// TestProgressNeverGoesBackwards: several goroutines report progress on one
+// watched job at once, as a sweep's simulation workers do. Every run is
+// published, and the done counts on the job's stream strictly increase.
+func TestProgressNeverGoesBackwards(t *testing.T) {
+	const workers, each = 8, 500
+	j := &job{id: "job-x", events: newEventLog("job-x", workers*each+1, newStreamHub())}
+	sub, cancel := j.events.subscribe(0, "test", workers*each+1)
+	defer cancel()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j.onProgress(experiments.Progress{Points: 1, Runs: workers * each})
+			}
+		}()
+	}
+	wg.Wait()
+	j.events.publish(EventState, []byte(`{"state":"done"}`), true, false)
+	<-sub.done
+	last := 0
+	for range len(sub.ch) {
+		ev := <-sub.ch
+		if ev.Type != EventProgress {
+			continue
+		}
+		var p JobProgress
+		if err := json.Unmarshal(ev.Data, &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Done <= last {
+			t.Fatalf("event %d carries done %d after %d; progress must strictly increase", ev.ID, p.Done, last)
+		}
+		last = p.Done
+	}
+	if last != workers*each {
+		t.Errorf("last published done = %d, want %d", last, workers*each)
 	}
 }
