@@ -3,8 +3,11 @@ package cluster
 import "testing"
 
 // FailoverEntries and FailoverLen let the external tests check the
-// failover table's bound.
-const FailoverEntries = failoverEntries
+// failover table's bound, and MaxBodyBytes the submit body cap.
+const (
+	FailoverEntries = failoverEntries
+	MaxBodyBytes    = maxBodyBytes
+)
 
 // FailoverLen reports how many job IDs n's failover table holds.
 func (n *Node) FailoverLen() int {

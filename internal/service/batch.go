@@ -223,10 +223,7 @@ func (s *Scheduler) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq BatchSubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &breq) {
 		return
 	}
 	reqs := make([]Request, 0, len(breq.Jobs))

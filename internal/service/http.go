@@ -173,6 +173,29 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a submit body. A 256-job batch of ordinary submits is
+// under 64 KB, so the cap leaves room for long tenant names.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields. On
+// failure it writes the answer, 413 for a body over maxBodyBytes and 400
+// for any other, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, err)
+	return false
+}
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant, authErr := s.authTenant(r)
 	if authErr != nil {
@@ -180,10 +203,7 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.tenants.enabled() && tenant != "" {
