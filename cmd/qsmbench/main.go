@@ -7,7 +7,7 @@
 //	qsmbench -exp fig2 [-runs 10] [-seed 1] [-csv] [-quick] [-parallel 8]
 //	qsmbench -all -json .          # also emit BENCH_<id>.json perf records
 //	qsmbench -cache DIR -exp fig2  # memoize results in a local store
-//	qsmbench -server URL -exp fig2 # submit to a qsmd server and poll
+//	qsmbench -server URL -exp fig2 # submit to a qsmd server and watch the job
 //
 // Independent (sweep-point, run) simulations fan out across -parallel
 // worker goroutines (default GOMAXPROCS); tables are byte-identical to a
@@ -33,12 +33,14 @@
 // deterministic options, and the code fingerprint — rerunning an identical
 // invocation prints byte-identical tables from the cache without
 // simulating. -server URL submits each experiment to a running qsmd
-// instead of simulating locally, polling the job until it completes;
+// instead of simulating locally and waits on the job's event stream until
+// it completes (with -progress, logging each progress event to stderr);
 // repeated submissions hit the server's cache.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -337,34 +339,37 @@ func runCached(stdout io.Writer, st *store.Store, id string, opt experiments.Opt
 	return rec, nil
 }
 
-// runRemote submits each experiment to a qsmd server, polls the job to
-// completion, and prints the cached tables. Each experiment runs under its
-// own trace ID, propagated on every request (submit, polls, result fetch)
+// runRemote submits each experiment to a qsmd server, watches the job's
+// event stream to completion, and prints the cached tables; with progress,
+// each progress event is logged to stderr. Each experiment runs under its
+// own trace ID, propagated on every request (submit, stream, result fetch)
 // so a -trace'd server stitches the whole conversation into one job trace.
 func runRemote(stdout, stderr io.Writer, baseURL string, ids []string, seed int64, runs int, quick, progress bool) error {
 	c := &service.Client{BaseURL: baseURL}
 	ctx := context.Background()
 	for _, id := range ids {
 		c.TraceID = obs.NewTraceID()
+		t0 := time.Now()
 		js, err := c.Submit(ctx, service.SubmitRequest{Experiment: id, Seed: seed, Runs: runs, Quick: quick})
 		if err != nil {
 			return err
 		}
 		if js.State != service.StateDone && js.State != service.StateFailed {
-			var onPoll func(service.JobStatus)
+			var onEvent func(service.StreamEvent)
 			if progress {
-				var last int
-				onPoll = func(p service.JobStatus) {
-					if p.Progress.Done != last {
-						last = p.Progress.Done
+				onEvent = func(ev service.StreamEvent) {
+					var p service.JobProgress
+					if ev.Type == service.EventProgress && json.Unmarshal(ev.Data, &p) == nil {
 						fmt.Fprintf(stderr, "qsmbench: %s: %s, %d jobs done (%.1fs elapsed)\n",
-							id, p.ID, p.Progress.Done, p.ElapsedSeconds)
+							id, js.ID, p.Done, time.Since(t0).Seconds())
 					}
 				}
 			}
-			if js, err = c.Wait(ctx, js.ID, 200*time.Millisecond, onPoll); err != nil {
+			res, err := c.WatchJobDetail(ctx, js.ID, 0, onEvent)
+			if err != nil {
 				return err
 			}
+			js = res.Status
 		}
 		if js.State == service.StateFailed {
 			return fmt.Errorf("%s: job %s failed: %s", id, js.ID, js.Error)

@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -73,8 +79,38 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// progressRuns is how many runs the bench-progress experiment reports.
+const progressRuns = 5
+
+// watchedSched is the scheduler bench-progress runs on. The experiment
+// waits until one of its event streams has a subscriber before it reports
+// progress, so a watching client sees every report.
+var watchedSched atomic.Pointer[service.Scheduler]
+
+func init() {
+	experiments.Register("bench-progress", "reports progress once its job is watched (test)",
+		func(o experiments.Options) (*experiments.Result, error) {
+			for deadline := time.Now().Add(10 * time.Second); len(watchedSched.Load().AdminState().Subscribers) == 0; {
+				if time.Now().After(deadline) {
+					return nil, errors.New("no client watched the job")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < progressRuns; i++ {
+				o.Progress(experiments.Progress{Point: i, Points: progressRuns, RunsDone: 1, Runs: 1})
+			}
+			tb := report.NewTable("bench-progress", "runs")
+			tb.AddRow(fmt.Sprint(progressRuns))
+			return &experiments.Result{ID: "bench-progress", Title: "progress test", Tables: []*report.Table{tb}}, nil
+		})
+}
+
+// progressLine matches one progress line qsmbench -server -progress prints.
+var progressLine = regexp.MustCompile(`(?m)^qsmbench: bench-progress: \S+, (\d+) jobs done \([0-9.]+s elapsed\)$`)
+
 // TestServer submits the same experiment twice to an in-process qsmd: the
-// repeat is served from the server's cache with the same tables.
+// repeat is served from the server's cache with the same tables. A cold
+// -progress run prints one line per progress event, in order.
 func TestServer(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -108,6 +144,29 @@ func TestServer(t *testing.T) {
 	if a, b := trailer.ReplaceAllString(first, ""), trailer.ReplaceAllString(second, ""); a != b || !strings.Contains(a, "==") {
 		t.Errorf("served tables differ:\n%s\nvs\n%s", a, b)
 	}
+
+	watchedSched.Store(s)
+	if _, stderr, code = invoke(t, "-server", srv.URL, "-progress", "bench-progress"); code != 0 {
+		t.Fatalf("-progress run: exit %d: %s", code, stderr)
+	}
+	lines := progressLine.FindAllStringSubmatch(stderr, -1)
+	if len(lines) != progressRuns {
+		t.Fatalf("-progress printed %d progress lines, want %d:\n%s", len(lines), progressRuns, stderr)
+	}
+	for i := 1; i < len(lines); i++ {
+		if prev, cur := atoi(t, lines[i-1][1]), atoi(t, lines[i][1]); cur < prev {
+			t.Errorf("progress went from %d to %d jobs done:\n%s", prev, cur, stderr)
+		}
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestObservabilityFiles runs fig7 with -metrics and -trace: the metrics

@@ -17,17 +17,16 @@
 // non-owner and measure the forwarding path.
 //
 // Closed loop (default) runs -workers synchronous clients: each submits a
-// job, polls it to completion, and immediately submits the next. Open loop
-// (-rate N) fires submissions on a fixed schedule regardless of
+// job, waits for it to complete, and immediately submits the next. Open
+// loop (-rate N) fires submissions on a fixed schedule regardless of
 // completions, measuring latency under offered load rather than sustainable
 // load; arrivals beyond -max-inflight are counted as errors instead of
 // queueing without bound.
 //
-// -stream switches completion-waiting from polling to the push API: each
-// submitted job is watched over its SSE event stream (resuming with
-// Last-Event-ID across drops), and the report grows a "stream" section
-// with time-to-first-event and inter-event-gap percentiles plus drop and
-// reconnect counts — the push-side latency picture polling cannot see.
+// A submitted job that is not already done is watched over its SSE event
+// stream (resuming with Last-Event-ID across drops), and the report's
+// "stream" section carries time-to-first-event and inter-event-gap
+// percentiles plus drop and reconnect counts.
 //
 // The report (stdout, or LOAD_<name>.json under -out) is a
 // report.LoadRecord: p50/p90/p99/p999 latency, requests per second, cache
@@ -40,47 +39,50 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/stats"
 )
 
-func main() {
-	var (
-		targets     = flag.String("targets", "http://localhost:8344", "comma-separated qsmd base URLs; requests round-robin across them")
-		experiment  = flag.String("exp", "fig2", "experiment id each job runs")
-		runs        = flag.Int("runs", 1, "repetitions per job (smaller = lighter jobs)")
-		quick       = flag.Bool("quick", true, "submit quick (trimmed-sweep) jobs")
-		duration    = flag.Duration("duration", 10*time.Second, "how long to offer load")
-		workers     = flag.Int("workers", 4, "closed-loop concurrent clients")
-		rate        = flag.Float64("rate", 0, "open-loop arrivals per second (0 = closed loop)")
-		maxInflight = flag.Int("max-inflight", 256, "open-loop cap on concurrent requests; arrivals beyond it count as errors")
-		keys        = flag.Int("keys", 20, "distinct job seeds (the key universe)")
-		tenant      = flag.String("tenant", "", "tenant name stamped on every submission (fair-share queuing)")
-		priority    = flag.Int("priority", 0, "submission priority (higher dequeues first, subject to aging)")
-		deadlineMS  = flag.Int64("deadline-ms", 0, "per-job deadline in milliseconds (0 = none)")
-		zipfS       = flag.Float64("zipf", 1.1, "Zipf skew exponent for key choice; <= 1 means uniform")
-		seed        = flag.Int64("seed", 1, "generator seed (key sequence and worker jitter)")
-		out         = flag.String("out", "", "write LOAD_<name>.json under this directory (or to this file if it ends in .json); default stdout")
-		name        = flag.String("name", "qsmload", "report name used in the LOAD_<name>.json file name")
-		pollEvery   = flag.Duration("poll", 20*time.Millisecond, "job status poll interval")
-		stream      = flag.Bool("stream", false, "watch jobs over SSE event streams instead of polling; adds TTFE and event-gap stats")
-	)
-	flag.Parse()
+func main() { cli.Main("qsmload", run) }
 
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("qsmload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		targets     = fs.String("targets", "http://localhost:8344", "comma-separated qsmd base URLs; requests round-robin across them")
+		experiment  = fs.String("exp", "fig2", "experiment id each job runs")
+		runs        = fs.Int("runs", 1, "repetitions per job (smaller = lighter jobs)")
+		quick       = fs.Bool("quick", true, "submit quick (trimmed-sweep) jobs")
+		duration    = fs.Duration("duration", 10*time.Second, "how long to offer load")
+		workers     = fs.Int("workers", 4, "closed-loop concurrent clients")
+		rate        = fs.Float64("rate", 0, "open-loop arrivals per second (0 = closed loop)")
+		maxInflight = fs.Int("max-inflight", 256, "open-loop cap on concurrent requests; arrivals beyond it count as errors")
+		keys        = fs.Int("keys", 20, "distinct job seeds (the key universe)")
+		tenant      = fs.String("tenant", "", "tenant name stamped on every submission (fair-share queuing)")
+		priority    = fs.Int("priority", 0, "submission priority (higher dequeues first, subject to aging)")
+		deadlineMS  = fs.Int64("deadline-ms", 0, "per-job deadline in milliseconds (0 = none)")
+		zipfS       = fs.Float64("zipf", 1.1, "Zipf skew exponent for key choice; <= 1 means uniform")
+		seed        = fs.Int64("seed", 1, "generator seed (key sequence and worker jitter)")
+		out         = fs.String("out", "", "write LOAD_<name>.json under this directory (or to this file if it ends in .json); default stdout")
+		name        = fs.String("name", "qsmload", "report name used in the LOAD_<name>.json file name")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	urls := splitTargets(*targets)
 	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "qsmload: -targets must name at least one qsmd URL")
-		os.Exit(2)
+		return cli.Usagef("-targets must name at least one qsmd URL")
 	}
 	if *keys < 1 {
 		*keys = 1
@@ -97,8 +99,6 @@ func main() {
 		tenant:     *tenant,
 		priority:   *priority,
 		deadlineMS: *deadlineMS,
-		pollEvery:  *pollEvery,
-		stream:     *stream,
 		perNode:    map[string]uint64{},
 	}
 	for _, u := range urls {
@@ -136,38 +136,32 @@ func main() {
 		CacheHits:   g.cacheHits.Load(),
 		PerNode:     g.perNode,
 		NodeStats:   scrapeNodeStats(urls),
-	}
-	if mode == "closed" {
-		rec.RatePerSec = 0
-	}
-	rec.Finish(g.latencies)
-	if *stream {
-		rec.Stream = &report.StreamLoadStats{
+		Stream: &report.StreamLoadStats{
 			Watched:    g.watched.Load(),
 			Events:     g.streamEvents.Load(),
 			Drops:      g.streamDrops.Load(),
 			Reconnects: g.streamReconnects.Load(),
 			TTFE:       report.SummarizeLatency(g.ttfe),
 			EventGap:   report.SummarizeLatency(g.gaps),
-		}
+		},
 	}
+	if mode == "closed" {
+		rec.RatePerSec = 0
+	}
+	rec.Finish(g.latencies)
 
 	if *out == "" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			fmt.Fprintln(os.Stderr, "qsmload:", err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(rec)
 	}
 	path, err := report.WriteLoad(*out, *name, rec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "qsmload:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "qsmload: wrote %s (%d requests, %.1f req/s, p50 %.1fms p99 %.1fms, hit ratio %.2f)\n",
+	fmt.Fprintf(stderr, "qsmload: wrote %s (%d requests, %.1f req/s, p50 %.1fms p99 %.1fms, hit ratio %.2f)\n",
 		path, rec.Requests, rec.Throughput, rec.Latency.P50, rec.Latency.P99, rec.CacheHitRatio)
+	return nil
 }
 
 func splitTargets(s string) []string {
@@ -193,8 +187,6 @@ type generator struct {
 	tenant     string
 	priority   int
 	deadlineMS int64
-	pollEvery  time.Duration
-	stream     bool
 
 	requests  atomic.Uint64
 	errors    atomic.Uint64
@@ -236,11 +228,7 @@ func (g *generator) one(ctx context.Context, key int64) {
 	start := time.Now()
 	js, err := c.Submit(ctx, req)
 	if err == nil && js.State != service.StateDone && js.State != service.StateFailed {
-		if g.stream {
-			js, err = g.watch(ctx, c, js.ID, start)
-		} else {
-			js, err = c.Wait(ctx, js.ID, g.pollEvery, nil)
-		}
+		js, err = g.watch(ctx, c, js.ID, start)
 	}
 	g.requests.Add(1)
 	if err != nil || js.State != service.StateDone {
@@ -298,7 +286,7 @@ func (g *generator) runClosed(ctx context.Context, n int) {
 			pick := g.keyPicker(stream)
 			for ctx.Err() == nil {
 				// Completed jobs keep their measurement even when the
-				// deadline cancels a later poll mid-flight.
+				// deadline comes while a job is being watched.
 				g.one(context.WithoutCancel(ctx), pick())
 				if ctx.Err() != nil {
 					return

@@ -47,12 +47,12 @@ type LoadRecord struct {
 	// run, so the report shows how much traffic was forwarded vs served
 	// locally and how replication behaved.
 	NodeStats []NodeLoadStats `json:"node_stats,omitempty"`
-	// Stream carries push-side measurements when the run watched jobs over
-	// SSE (qsmload -stream) instead of polling.
+	// Stream carries the push-side measurements of the jobs qsmload
+	// watched over SSE.
 	Stream *StreamLoadStats `json:"stream,omitempty"`
 }
 
-// StreamLoadStats summarises a -stream run's push side: how promptly the
+// StreamLoadStats summarises a load run's push side: how promptly the
 // first event arrived after submit (TTFE) and how evenly events flowed
 // (gap between consecutive events on one watch), plus the transport-level
 // resume accounting.

@@ -320,7 +320,9 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 // Wait polls a job at the given interval until it reaches a terminal state
 // (done or failed), calling onPoll (when non-nil) with each observed
 // status. It returns the terminal status; reaching a terminal state is not
-// an error even when the job failed.
+// an error even when the job failed. No command polls: they wait on the
+// event stream (WatchJob, WatchJobDetail). Wait stays for the tests that
+// pin the polling read path.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration, onPoll func(JobStatus)) (JobStatus, error) {
 	if interval <= 0 {
 		interval = 200 * time.Millisecond

@@ -1,11 +1,12 @@
 package service
 
-// Streaming client: the push-based counterpart to Wait's polling. WatchJob
-// subscribes to a job's SSE event stream and blocks until the terminal
-// state event arrives, reconnecting with Last-Event-ID across transport
-// failures and server-side drop markers so no lifecycle event is missed.
-// qsmload -stream builds its time-to-first-event and event-gap measurements
-// on WatchJobDetail's per-event callback.
+// Streaming client: the push-based counterpart to Wait's polling, and the
+// way the commands wait for a job. WatchJob subscribes to a job's SSE event
+// stream and blocks until the terminal state event arrives, reconnecting
+// with Last-Event-ID across transport failures and server-side drop markers
+// so no lifecycle event is missed. qsmload builds its time-to-first-event
+// and event-gap measurements, and qsmbench -server -progress its progress
+// lines, on WatchJobDetail's per-event callback.
 
 import (
 	"context"
