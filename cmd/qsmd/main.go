@@ -27,11 +27,16 @@
 //
 // Multi-tenant mode (-tenants "name:key[:maxactive[:maxqueued]],..." or
 // -tenants-file with a JSON array of {"name","key","max_active",
-// "max_queued"}) authenticates every submission by API key (X-Qsm-Api-Key
-// or an Authorization bearer token) and enforces per-tenant concurrency
-// and queue-depth quotas; rejections are 429 with Retry-After. Without
-// either flag the server is anonymous and behaves exactly as before.
-// Per-tenant usage appears on /statusz, /metricsz, and /v1/admin/state.
+// "max_queued"}) authenticates every submission and job request by API key
+// (X-Qsm-Api-Key or an Authorization bearer token) and enforces per-tenant
+// concurrency and queue-depth quotas; rejections are 429 with Retry-After.
+// Without either flag the server is anonymous and behaves exactly as
+// before. Per-tenant usage appears on /statusz, /metricsz, and
+// /v1/admin/state. Every node of a keyed cluster takes the same tenants:
+// each checks the key of the requests it answers, forwarded ones included.
+//
+// The server closes a connection that has not sent a request's headers
+// within 10 s, or that sits idle between requests for 2 min.
 //
 // Streaming: GET /v1/jobs/{id}/events pushes a job's lifecycle and
 // progress events over SSE (NDJSON with "Accept: application/x-ndjson"),
@@ -267,7 +272,7 @@ func main() {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := newServer(*addr, mux)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -299,6 +304,21 @@ func main() {
 		node.Close()
 	}
 	logger.Info("drained cleanly")
+}
+
+// The server's connection timeouts. A client gets readHeaderTimeout to send
+// a request's headers, and a keep-alive connection with no request in
+// flight is closed after idleTimeout, so neither a silent nor a trickling
+// client holds a connection open for ever. Bodies and responses have no
+// deadline: an event stream lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the HTTP server qsmd listens with.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitPeers parses the -peers list.

@@ -128,6 +128,13 @@ func newCluster(t *testing.T, n, replicas int, inj *faults.Injector) []*testNode
 // peer requests (nil: http.DefaultClient).
 func newClusterHTTP(t *testing.T, n, replicas int, inj *faults.Injector, httpc *http.Client) []*testNode {
 	t.Helper()
+	return newKeyedCluster(t, n, replicas, inj, httpc, nil)
+}
+
+// newKeyedCluster is newClusterHTTP with tenants configured on every node's
+// scheduler (nil: anonymous).
+func newKeyedCluster(t *testing.T, n, replicas int, inj *faults.Injector, httpc *http.Client, tenants []service.TenantConfig) []*testNode {
+	t.Helper()
 	nodes := make([]*testNode, n)
 	swaps := make([]*swapHandler, n)
 	urls := make([]string, n)
@@ -153,6 +160,7 @@ func newClusterHTTP(t *testing.T, n, replicas int, inj *faults.Injector, httpc *
 			Workers:     2,
 			Fingerprint: testFingerprint,
 			NodeName:    tn.name,
+			Tenants:     tenants,
 			StateHook: func(js service.JobStatus) {
 				if nd := nodePtr.Load(); nd != nil {
 					nd.JobStateHook(js)

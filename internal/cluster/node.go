@@ -238,12 +238,6 @@ func clusterWriteError(w http.ResponseWriter, code int, err error) {
 	clusterWriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// writeResult serves a result's stored wire encoding as the response body.
-func writeResult(w http.ResponseWriter, wire []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(wire)
-}
-
 // serveLocal replays the (possibly already-consumed) request body and hands
 // the request to the local scheduler handler.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
@@ -256,9 +250,9 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 }
 
 // forward proxies the request verbatim to peer p (adding the forwarded
-// marker and keeping the inbound trace header), relaying the peer's status
-// and body on success and returning the relayed body so the caller can
-// inspect it (e.g. to read a returned job ID). It
+// marker and keeping the inbound trace header and credentials), relaying
+// the peer's status and body on success and returning the relayed body so
+// the caller can inspect it (e.g. to read a returned job ID). It
 // returns ok=false — after marking the peer down — on a transport-level
 // failure, letting the caller fail over; a response from the peer,
 // whatever its status, is relayed as-is because the peer is alive and its
@@ -277,12 +271,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, p *peer, body []b
 		sp.End()
 		return nil, false
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	if id := r.Header.Get(obs.TraceHeader); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
+	copyHeaders(req, r, "Content-Type", obs.TraceHeader)
 	req.Header.Set(ForwardedHeader, n.cfg.Self)
 	resp, err := p.httpc().Do(req)
 	if err != nil {
@@ -317,6 +306,20 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, p *peer, body []b
 	return data, true
 }
 
+// credentialHeaders carry a keyed tenant's API key. A forwarded request
+// keeps them, and the node that answers it checks the key itself.
+var credentialHeaders = []string{service.APIKeyHeader, "Authorization"}
+
+// copyHeaders sets on out the named headers and the credential headers
+// that in carries.
+func copyHeaders(out, in *http.Request, names ...string) {
+	for _, h := range append(names, credentialHeaders...) {
+		if v := in.Header.Get(h); v != "" {
+			out.Header.Set(h, v)
+		}
+	}
+}
+
 // httpc returns the peer's fault-wrapped HTTP client.
 func (p *peer) httpc() *http.Client {
 	if p.client.HTTP != nil {
@@ -328,6 +331,22 @@ func (p *peer) httpc() *http.Client {
 // maxBodyBytes caps a submit body, as the local scheduler's handlers do.
 const maxBodyBytes = 1 << 20
 
+// maxEntryBytes caps a replicated entry's body. The largest wire entry any
+// driver produces is fig7's, 389 383 B (qsmbench -metrics -cache, full
+// sweep, at -runs 1 and 10 alike); the cap leaves it 2.7 times that.
+const maxEntryBytes = 1 << 20
+
+// writeBodyError answers a request whose body could not be read or decoded:
+// 413 when it ran past its http.MaxBytesReader cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	clusterWriteError(w, code, err)
+}
+
 // handleSubmit routes one submission: the key's primary owner serves it
 // locally (its queue runs identical submissions one at a time, so the
 // cluster computes each key once);
@@ -337,12 +356,7 @@ const maxBodyBytes = 1 << 20
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		clusterWriteError(w, code, err)
+		writeBodyError(w, err)
 		return
 	}
 	var req service.SubmitRequest
@@ -374,7 +388,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				replay := &service.Request{
 					Experiment: req.Experiment,
 					Options:    req.Key(),
-					Tenant:     req.Tenant,
+					Tenant:     js.Tenant, // the owner's: in keyed mode the key's, not the body's
 					Priority:   req.Priority,
 					Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
 				}
@@ -467,7 +481,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if wire, ok, _ := n.cfg.Store.GetBytes(r.Context(), key); ok {
 		n.met.local.Add(1)
-		writeResult(w, wire)
+		service.WriteResult(w, wire)
 		return
 	}
 	if r.Header.Get(ForwardedHeader) != "" {
@@ -498,7 +512,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		} else {
 			n.cfg.Log.Info("read-repaired entry from peer", "key", store.ShortKey(key), "peer", o)
 		}
-		writeResult(w, wire)
+		service.WriteResult(w, wire)
 		return
 	}
 	n.serveLocal(w, r, nil) // canonical 404
@@ -506,18 +520,21 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate accepts an entry pushed by the key's owner. The entry
 // must address the URL's key and carry a valid checksum; anything else is
-// rejected, so a confused or malicious peer cannot poison the store.
+// rejected, so a confused or malicious peer cannot poison the store. A body
+// over maxEntryBytes gets a 413.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
 		clusterWriteError(w, http.StatusBadRequest, errors.New("cluster: malformed result key"))
 		return
 	}
+	// A peer's entry is held to a stricter contract than store.DecodeEntry's:
+	// an unknown field is refused, not ignored.
 	var e store.Entry
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEntryBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&e); err != nil {
-		clusterWriteError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	if e.Key != key {

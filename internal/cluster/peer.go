@@ -26,9 +26,9 @@ import (
 // ForwardedHeader marks a request already forwarded once by a cluster node.
 // A receiving node serves it locally, whatever the ring says, so forwarding
 // can never loop and a replica can serve a submit when the primary routed
-// it there. The constant lives in the service package (its keyed-tenant
-// auth admits forwarded requests as pre-authenticated); this alias keeps
-// the cluster-side name.
+// it there. It is no credential: the client's API key travels with the
+// request (copyHeaders). The constant lives in the service package; this
+// alias keeps the cluster-side name.
 const ForwardedHeader = service.ForwardedHeader
 
 // DefaultHealthInterval is the background health-probe period.

@@ -3,10 +3,12 @@ package cluster
 import "testing"
 
 // FailoverEntries and FailoverLen let the external tests check the
-// failover table's bound, and MaxBodyBytes the submit body cap.
+// failover table's bound, MaxBodyBytes the submit body cap and
+// MaxEntryBytes the replicated entry cap.
 const (
 	FailoverEntries = failoverEntries
 	MaxBodyBytes    = maxBodyBytes
+	MaxEntryBytes   = maxEntryBytes
 )
 
 // FailoverLen reports how many job IDs n's failover table holds.

@@ -190,6 +190,22 @@ func TestSubmitBodyCap(t *testing.T) {
 	}
 }
 
+// TestReplicateBodyCap: a 64 MB result PUT gets a 413 after no more than
+// the entry cap and one read buffer have been read from it.
+func TestReplicateBodyCap(t *testing.T) {
+	nodes := newCluster(t, 2, 1, nil)
+	body := &hugeBody{}
+	rw := httptest.NewRecorder()
+	key := store.ResultKey("fig7", experiments.OptionsKey{Seed: 1, Runs: 1, Quick: true}, testFingerprint)
+	nodes[0].node.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodPut, "/v1/results/"+key, body))
+	if want := "{\n  \"error\": \"http: request body too large\"\n}\n"; rw.Code != http.StatusRequestEntityTooLarge || rw.Body.String() != want {
+		t.Errorf("PUT /v1/results/{key} with a 64 MB body = %d %q, want 413 %q", rw.Code, rw.Body.String(), want)
+	}
+	if body.read > cluster.MaxEntryBytes+4096 {
+		t.Errorf("read %d body bytes, want at most the %d-byte cap and one 4 KB buffer", body.read, cluster.MaxEntryBytes)
+	}
+}
+
 // hugeBody is a 64 MB submit body, made as it is read, that counts the
 // bytes read from it: one JSON string far longer than any cap.
 type hugeBody struct{ read int }

@@ -92,11 +92,7 @@ func (n *Node) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, id
 		sp.Annotate("outcome", "error")
 		return false, false
 	}
-	for _, h := range []string{"Accept", "Last-Event-ID", obs.TraceHeader} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
+	copyHeaders(req, r, "Accept", "Last-Event-ID", obs.TraceHeader)
 	req.Header.Set(ForwardedHeader, n.cfg.Self)
 	resp, err := p.httpc().Do(req)
 	if err != nil {

@@ -5,9 +5,13 @@
 // written with it; FuzzCompactIndent here and the differential tests in obs
 // and store hold it to encoding/json.
 //
-// Nothing here validates: AppendCompact and Indent take JSON that is already
+// AppendCompact and Indent do not validate: they take JSON that is already
 // valid (Indent: compact too), which is what their callers hold by
 // construction — a registry they wrote, or a value decoded by encoding/json.
+// SkipValue is the one validator: it accepts exactly what json.Valid accepts,
+// so a reader can check a document and find its parts in one pass, stepping
+// over the whitespace between them with SkipSpace (store.DecodeEntry);
+// FuzzSkipValue holds it to json.Valid.
 package jsonbytes
 
 import (
@@ -262,18 +266,227 @@ func newline(out []byte, w, depth int) int {
 	return w + copy(out[w:], spaces[:2*depth])
 }
 
+// maxDepth is encoding/json's nesting limit: a document may hold arrays and
+// objects 10 000 deep, not one more.
+const maxDepth = 10000
+
+// SkipValue returns the index just past the JSON value that starts at src[i]
+// (its first byte, not whitespace) and whether that value is valid JSON as
+// json.Valid judges it: strings hold any bytes but unescaped control
+// characters (invalid UTF-8 passes), numbers and escapes follow JSON's
+// grammar, and arrays and objects nest no deeper than encoding/json's limit,
+// counting the depth arrays and objects that already enclose src[i]. end is
+// 0 when the value is invalid. The scan is one loop over the bytes with an
+// explicit stack of the open containers, not a recursion.
+func SkipValue(src []byte, i, depth int) (end int, ok bool) {
+	var buf [64]bool // the first levels' kinds, true for an object
+	open := buf[:0]
+	for {
+		// src[i] starts a value.
+		if i >= len(src) {
+			return 0, false
+		}
+		switch c := src[i]; c {
+		case '{', '[':
+			if depth+len(open) >= maxDepth {
+				return 0, false
+			}
+			i = SkipSpace(src, i+1)
+			if i < len(src) && src[i] == c+2 { // } or ]: empty
+				i++
+				break
+			}
+			open = append(open, c == '{')
+			if c == '{' {
+				if i = skipKey(src, i); i < 0 {
+					return 0, false
+				}
+			}
+			continue
+		case '"':
+			if i = skipString(src, i); i < 0 {
+				return 0, false
+			}
+		case 't':
+			if i = skipLiteral(src, i, "true"); i < 0 {
+				return 0, false
+			}
+		case 'f':
+			if i = skipLiteral(src, i, "false"); i < 0 {
+				return 0, false
+			}
+		case 'n':
+			if i = skipLiteral(src, i, "null"); i < 0 {
+				return 0, false
+			}
+		default:
+			if i = skipNumber(src, i); i < 0 {
+				return 0, false
+			}
+		}
+		// A value ended: close what it ends, then start the next one.
+		for {
+			if len(open) == 0 {
+				return i, true
+			}
+			i = SkipSpace(src, i)
+			if i >= len(src) {
+				return 0, false
+			}
+			obj := open[len(open)-1]
+			if c := src[i]; c == ',' {
+				i = SkipSpace(src, i+1)
+				if obj {
+					if i = skipKey(src, i); i < 0 {
+						return 0, false
+					}
+				}
+				break
+			} else if obj && c == '}' || !obj && c == ']' {
+				open = open[:len(open)-1]
+				i++
+				continue
+			}
+			return 0, false
+		}
+	}
+}
+
+// SkipSpace returns the index of the first byte at or after src[i] that is
+// not JSON whitespace: where a value, or the comma, colon or bracket after
+// one, starts.
+func SkipSpace(src []byte, i int) int {
+	for i < len(src) && class[src[i]]&space != 0 {
+		i++
+	}
+	return i
+}
+
+// skipKey returns the index of the value after the object key and colon
+// that start at src[i], or -1 if they are not valid.
+func skipKey(src []byte, i int) int {
+	if i >= len(src) || src[i] != '"' {
+		return -1
+	}
+	if i = skipString(src, i); i < 0 {
+		return -1
+	}
+	if i = SkipSpace(src, i); i >= len(src) || src[i] != ':' {
+		return -1
+	}
+	return SkipSpace(src, i+1)
+}
+
+// skipString returns the index just past the valid JSON string that opens
+// at src[i], or -1 if there is none.
+func skipString(src []byte, i int) int {
+	for i++; ; i++ {
+		for i < len(src) && class[src[i]]&(quote|escape|control) == 0 {
+			i++
+		}
+		if i >= len(src) || src[i] < 0x20 {
+			return -1
+		}
+		if src[i] == '"' {
+			return i + 1
+		}
+		if i++; i >= len(src) {
+			return -1
+		}
+		switch src[i] {
+		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		case 'u':
+			if i+4 >= len(src) {
+				return -1
+			}
+			for _, h := range src[i+1 : i+5] {
+				if class[h]&hexDigit == 0 {
+					return -1
+				}
+			}
+			i += 4
+		default:
+			return -1
+		}
+	}
+}
+
+// skipLiteral returns the index just past lit at src[i], or -1 if src does
+// not hold lit there.
+func skipLiteral(src []byte, i int, lit string) int {
+	if len(src)-i < len(lit) || string(src[i:i+len(lit)]) != lit {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// skipNumber returns the index just past the JSON number at src[i], or -1
+// if there is none: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
+func skipNumber(src []byte, i int) int {
+	if i < len(src) && src[i] == '-' {
+		i++
+	}
+	switch {
+	case i >= len(src) || class[src[i]]&digit == 0:
+		return -1
+	case src[i] == '0':
+		i++
+	default:
+		i = skipDigits(src, i)
+	}
+	if i < len(src) && src[i] == '.' {
+		if i++; i >= len(src) || class[src[i]]&digit == 0 {
+			return -1
+		}
+		i = skipDigits(src, i)
+	}
+	if i < len(src) && src[i]|0x20 == 'e' {
+		if i++; i < len(src) && (src[i] == '+' || src[i] == '-') {
+			i++
+		}
+		if i >= len(src) || class[src[i]]&digit == 0 {
+			return -1
+		}
+		i = skipDigits(src, i)
+	}
+	return i
+}
+
+// skipDigits returns the index of the first byte at or after src[i] that is
+// not a decimal digit.
+func skipDigits(src []byte, i int) int {
+	for i < len(src) && class[src[i]]&digit != 0 {
+		i++
+	}
+	return i
+}
+
 // Byte classes the loops above test with one table lookup.
 const (
-	quote   = 1 << iota // "
-	escape              // \
-	special             // <, >, & and 0xE2 (U+2028, U+2029): escaped inside strings
-	space               // whitespace, outside strings
-	punct               // ends a number or literal: , } ]
+	quote    = 1 << iota // "
+	escape               // \
+	special              // <, >, & and 0xE2 (U+2028, U+2029): escaped inside strings
+	space                // whitespace, outside strings
+	punct                // ends a number or literal: , } ]
+	control              // 0x00–0x1F: invalid unescaped inside strings
+	digit                // 0–9
+	hexDigit             // 0–9, a–f, A–F
 )
 
-var class = [256]uint8{
-	'"': quote, '\\': escape,
-	'<': special, '>': special, '&': special, 0xE2: special,
-	' ': space, '\t': space, '\n': space, '\r': space,
-	',': punct, '}': punct, ']': punct,
-}
+var class = func() (t [256]uint8) {
+	t['"'], t['\\'] = quote, escape
+	t['<'], t['>'], t['&'], t[0xE2] = special, special, special, special
+	t[','], t['}'], t[']'] = punct, punct, punct
+	for c := 0; c < 0x20; c++ {
+		t[c] = control
+	}
+	t[' '] = space
+	t['\t'], t['\n'], t['\r'] = space|control, space|control, space|control
+	for c := '0'; c <= '9'; c++ {
+		t[c] = digit | hexDigit
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c], t[c-'a'+'A'] = hexDigit, hexDigit
+	}
+	return t
+}()

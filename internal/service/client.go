@@ -120,8 +120,9 @@ func retryable(status int, err error) bool {
 }
 
 // do issues a request with bounded retries, decoding the JSON response into
-// out. Each attempt runs under RequestTimeout; transient failures back off
-// and retry while the policy's budget and the caller's context allow.
+// out (nil: discard it). Each attempt runs under RequestTimeout; transient
+// failures back off and retry while the policy's budget and the caller's
+// context allow.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var data []byte
 	if body != nil {
@@ -130,29 +131,34 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			return err
 		}
 	}
-	return c.send(ctx, method, path, data, out)
+	resp, err := c.send(ctx, method, path, data)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(resp, out)
 }
 
-// send is do for a request body that is already encoded (nil for none).
-func (c *Client) send(ctx context.Context, method, path string, data []byte, out any) error {
+// send issues a request whose body is already encoded (nil for none) with
+// do's retries, and returns the response body of the attempt that succeeded.
+func (c *Client) send(ctx context.Context, method, path string, data []byte) ([]byte, error) {
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var lastErr error
 	for n := 1; ; n++ {
-		status, err := c.once(ctx, method, path, data, out, n)
+		resp, status, err := c.once(ctx, method, path, data, n)
 		if err == nil {
-			return nil
+			return resp, nil
 		}
 		lastErr = err
 		if n >= attempts || ctx.Err() != nil || !retryable(status, err) {
 			if n > 1 {
 				c.log().Warn("request failed after retries",
 					"method", method, "path", path, "attempts", n, "err", lastErr)
-				return fmt.Errorf("qsmd: %d attempts failed: %w", n, lastErr)
+				return nil, fmt.Errorf("qsmd: %d attempts failed: %w", n, lastErr)
 			}
-			return lastErr
+			return nil, lastErr
 		}
 		c.log().Warn("request attempt failed, retrying",
 			"method", method, "path", path, "attempt", n, "status", status, "err", err)
@@ -161,7 +167,7 @@ func (c *Client) send(ctx context.Context, method, path string, data []byte, out
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return fmt.Errorf("qsmd: %d attempts failed: %w", n, lastErr)
+			return nil, fmt.Errorf("qsmd: %d attempts failed: %w", n, lastErr)
 		}
 	}
 }
@@ -186,9 +192,10 @@ func (c *Client) traceID(ctx context.Context) string {
 	return ""
 }
 
-// once issues a single attempt. The returned status is 0 for
-// transport-level failures and the HTTP status otherwise.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, attempt int) (status int, err error) {
+// once issues a single attempt and returns a 2xx response's body. The
+// returned status is 0 for transport-level failures and the HTTP status
+// otherwise.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, attempt int) (data []byte, status int, err error) {
 	traceID := c.traceID(ctx)
 	if c.Tracer.Enabled() && obs.ValidTraceID(traceID) {
 		sp := c.Tracer.Start(traceID, "client", "request",
@@ -214,7 +221,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -227,29 +234,42 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
+	if data, err = readBody(resp); err != nil {
+		return nil, 0, err
 	}
 	if resp.StatusCode/100 != 2 {
 		var e struct {
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("qsmd: %s (HTTP %d)", e.Error, resp.StatusCode)
+			return nil, resp.StatusCode, fmt.Errorf("qsmd: %s (HTTP %d)", e.Error, resp.StatusCode)
 		}
-		return resp.StatusCode, fmt.Errorf("qsmd: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		return nil, resp.StatusCode, fmt.Errorf("qsmd: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}
-	if out == nil {
-		return resp.StatusCode, nil
+	return data, resp.StatusCode, nil
+}
+
+// maxSizedRead bounds the slice readBody allocates up front from a
+// response's Content-Length, so a peer cannot make the client reserve memory
+// it never sends. It is above the largest result entry any driver produces.
+const maxSizedRead = 4 << 20
+
+// readBody reads a response body of announced length into one slice of
+// exactly that length; a body of unknown length, or one over maxSizedRead,
+// is read by io.ReadAll, whose buffer grows as it fills.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedRead {
+		return io.ReadAll(resp.Body)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return resp.StatusCode, err
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
 	}
-	return resp.StatusCode, nil
+	return data, nil
 }
 
 // Submit posts one job.
@@ -266,13 +286,14 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	return js, err
 }
 
-// Result fetches a cached result entry by content address.
+// Result fetches a cached result entry by content address. The body is
+// decoded by store.DecodeEntry, the store's own decoder of its wire form.
 func (c *Client) Result(ctx context.Context, key string) (*store.Entry, error) {
-	var e store.Entry
-	if err := c.do(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil, &e); err != nil {
+	wire, err := c.send(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil)
+	if err != nil {
 		return nil, err
 	}
-	return &e, nil
+	return store.DecodeEntry(wire)
 }
 
 // PutResult pushes a result entry's wire encoding (store.GetBytes) to the
@@ -281,7 +302,8 @@ func (c *Client) Result(ctx context.Context, key string) (*store.Entry, error) {
 // decodes the body and verifies the entry's key and checksum before
 // accepting it.
 func (c *Client) PutResult(ctx context.Context, key string, wire []byte) error {
-	return c.send(ctx, http.MethodPut, "/v1/results/"+url.PathEscape(key), wire, nil)
+	_, err := c.send(ctx, http.MethodPut, "/v1/results/"+url.PathEscape(key), wire)
+	return err
 }
 
 // HealthStatus is the /healthz payload. Its fields are in name order, the

@@ -19,16 +19,31 @@ import (
 var (
 	fuzzOnce    sync.Once
 	fuzzHandler http.Handler
+	fuzzDir     string // the shared scheduler's store, removed by TestMain
 )
 
+// TestMain removes the shared fuzz scheduler's store directory once the
+// package's tests have run, so a plain go test leaves nothing in the temp
+// directory. Under -fuzz each worker process builds its own scheduler and
+// removes its directory when the worker exits normally; a worker the fuzz
+// engine kills (a crash, a hang) leaves its qsm-fuzz-* directory behind.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fuzzDir != "" {
+		os.RemoveAll(fuzzDir)
+	}
+	os.Exit(code)
+}
+
 // fuzzServer lazily builds one scheduler shared by every fuzz execution.
-// It is never drained: fuzz workers run in separate processes that exit.
+// It is never drained: it lives as long as the test process.
 func fuzzServer(f *testing.F) http.Handler {
 	fuzzOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "qsm-fuzz-*")
 		if err != nil {
 			f.Fatal(err)
 		}
+		fuzzDir = dir
 		st, err := store.Open(dir, 0)
 		if err != nil {
 			f.Fatal(err)

@@ -41,9 +41,10 @@ import (
 // request, and scopes the request's log lines.
 
 // ForwardedHeader marks a request already forwarded once by a cluster node
-// (internal/cluster aliases this constant). Forwarded submissions are
-// pre-authenticated by the entrance node, so keyed mode admits them without
-// re-presenting an API key.
+// (internal/cluster aliases this constant), which then serves it locally
+// instead of forwarding it again. It grants nothing: in keyed mode a
+// forwarded request carries the client's API key and is checked like any
+// other.
 const ForwardedHeader = "X-Qsm-Forwarded"
 
 // SubmitRequest is the POST /v1/jobs body. Zero-valued fields take the
@@ -255,8 +256,13 @@ func (s *Scheduler) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobOr404 returns the retained job the request's {id} names, or writes the
-// 404 and returns nil.
+// answer and returns nil: 401 in keyed mode without a tenant's key, 404 for
+// an id it does not hold. Every job route reads its job through it.
 func (s *Scheduler) jobOr404(w http.ResponseWriter, r *http.Request) *job {
+	if _, err := s.authTenant(r); err != nil {
+		writeError(w, http.StatusUnauthorized, err)
+		return nil
+	}
 	id := r.PathValue("id")
 	j, evicted := s.lookup(id)
 	if j == nil {
@@ -293,8 +299,18 @@ func (s *Scheduler) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("service: no such result"))
 		return
 	}
-	// The stored encoding is the response body: nothing to decode or encode.
-	w.Header().Set("Content-Type", "application/json")
+	WriteResult(w, wire)
+}
+
+// WriteResult serves a result's stored wire encoding (store.GetBytes) as the
+// response body: nothing to decode or encode. The body goes out with its
+// Content-Length, so a client reads it into one slice of that size instead
+// of growing a buffer through a chunked stream. The cluster's result route
+// writes through it too.
+func WriteResult(w http.ResponseWriter, wire []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(wire)))
 	w.Write(wire)
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,75 @@ func TestResultReadAllocsIndependentOfSize(t *testing.T) {
 	if diff := large - small; diff > 512 || diff < -512 {
 		t.Errorf("a cached result read allocates %.0f B for a %d B body but %.0f B for a %d B body; want the same",
 			small, smallBody, large, largeBody)
+	}
+}
+
+// TestClientResultAllocs is the client's half of the serving claim: a
+// result read through Client.Result makes as many allocations for the
+// 389 KB fig7 entry as for the 10.8 KB fig1 one, and its bytes are about the
+// body, read into one exact-size slice, plus the metrics copy the decoded
+// entry owns. The measurement covers the whole process, so the in-process
+// server's handler is in it too.
+func TestClientResultAllocs(t *testing.T) {
+	type read struct {
+		allocs, bytes float64
+		body, metrics int
+	}
+	measure := func(exp string) read {
+		h, path := cachedResult(t, exp)
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		c := &service.Client{BaseURL: srv.URL, HTTP: srv.Client()}
+		key := strings.TrimPrefix(path, "/v1/results/")
+		var r read
+		get := func() {
+			e, err := c.Result(context.Background(), key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.metrics = len(e.Metrics)
+		}
+		get() // warm the connection and encoding/json's type cache
+		// No collection runs inside the window: each one empties the
+		// sync.Pools net/http draws from, and refilling them would count
+		// against the larger body, which triggers collections more often.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		const rounds = 40
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		r.allocs = float64(after.Mallocs-before.Mallocs) / rounds
+		r.bytes = float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		r.body = int(resp.ContentLength)
+		return r
+	}
+	small, large := measure("fig1"), measure("fig7")
+	t.Logf("Client.Result: fig1 %.1f allocs, %.0f B for a %d B body (%d B metrics); fig7 %.1f allocs, %.0f B for a %d B body (%d B metrics)",
+		small.allocs, small.bytes, small.body, small.metrics, large.allocs, large.bytes, large.body, large.metrics)
+	if small.body <= 0 || large.body < 20*small.body {
+		t.Fatalf("bodies are %d and %d bytes; the comparison needs them far apart, with a Content-Length", small.body, large.body)
+	}
+	// The in-process server's goroutines move the process-wide count by
+	// about one between measurements. Reading through io.ReadAll's growing
+	// buffer and decoding with json.Unmarshal made 14 more for fig7 (118.5
+	// against 104.2) and 2.4 MB for its body.
+	if d := large.allocs - small.allocs; d > 2 || d < -2 {
+		t.Errorf("Client.Result makes %.1f allocations for fig1 but %.1f for fig7; want the same", small.allocs, large.allocs)
+	}
+	for _, r := range []read{small, large} {
+		if limit := float64(r.body+r.metrics) + 32<<10; r.bytes > limit {
+			t.Errorf("Client.Result of a %d B body with %d B of metrics allocates %.0f B; want at most the two and 32 KB",
+				r.body, r.metrics, r.bytes)
+		}
 	}
 }
 

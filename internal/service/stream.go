@@ -321,10 +321,6 @@ func (s *Scheduler) streamHeartbeat() time.Duration {
 }
 
 func (s *Scheduler) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.authTenant(r); err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
 	if j := s.jobOr404(w, r); j != nil {
 		s.serveStream(w, r, s.streamLog(j))
 	}

@@ -4,10 +4,10 @@ package service
 // Tenants are configuration (a -tenants flag spec or a JSON file), not a
 // dynamic registry: each carries an API key, a concurrent-job quota
 // (queued + running jobs holding admission), and a queue-depth quota. The
-// HTTP layer authenticates submissions by key (X-Qsm-Api-Key or a bearer
-// token) when any tenant is configured; with none configured the service
-// is anonymous and behaves exactly as before — the request body's tenant
-// field shapes fair queuing only.
+// HTTP layer authenticates submissions and every job route by key
+// (X-Qsm-Api-Key or a bearer token) when any tenant is configured; with
+// none configured the service is anonymous and behaves exactly as before —
+// the request body's tenant field shapes fair queuing only.
 //
 // Quota accounting is deliberately simple and local: a job acquires its
 // tenant's concurrency slot at admission (cache hits never consume quota —
@@ -15,7 +15,9 @@ package service
 // terminal state, before that state is visible, on whichever path got it
 // there: done, failed, cancelled, or drained. Rejections surface as *QuotaError, which the HTTP
 // layer maps to 429 with a Retry-After. In a cluster, quotas apply on the
-// node that admits the job.
+// node that admits the job, and every node checks the key itself: a node
+// forwards the client's key with the request, so every node of a keyed
+// cluster needs the same tenants.
 
 import (
 	"encoding/json"
@@ -219,14 +221,11 @@ func (reg *tenantRegistry) writeMetricsText(w io.Writer) error {
 
 // authTenant resolves the request's tenant in keyed mode: the API-key
 // header or an Authorization bearer token must name a configured tenant.
-// Requests already forwarded by a cluster peer are pre-authenticated by the
-// entrance node. In anonymous mode it returns "" and the caller keeps the
-// request body's tenant field.
+// A request a cluster peer forwarded carries the client's own key and is
+// checked like any other. In anonymous mode it returns "" and the caller
+// keeps the request body's tenant field.
 func (s *Scheduler) authTenant(r *http.Request) (string, error) {
 	if !s.tenants.enabled() {
-		return "", nil
-	}
-	if r.Header.Get(ForwardedHeader) != "" {
 		return "", nil
 	}
 	key := r.Header.Get(APIKeyHeader)

@@ -12,7 +12,8 @@
 // LRU holds those bytes, and GetBytes hands them to the HTTP layer to write
 // as they are — a cached read neither decodes nor encodes. The store keeps no
 // *Entry: Get and GetOrCompute decode a fresh one per call for the callers
-// that want fields (qsmbench -cache, tests). Put writes that encoding with
+// that want fields (qsmbench -cache, tests), with DecodeEntry, the one
+// decoder of the wire form, which the HTTP client uses too. Put writes that encoding with
 // encoding/json for the small fixed fields only; the metrics blob is copied
 // and indented by byte loops that do not validate it, so an Entry's Metrics
 // must be valid JSON (the registry's own snapshot, or a value encoding/json
@@ -32,6 +33,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -47,6 +49,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/jsonbytes"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -239,11 +242,98 @@ func (s *Store) Get(key string) (*Entry, bool, error) {
 
 // decodeWire decodes an encoding the store produced.
 func decodeWire(wire []byte) (*Entry, error) {
-	e := new(Entry)
-	if err := json.Unmarshal(wire, e); err != nil {
+	e, err := DecodeEntry(wire)
+	if err != nil {
 		return nil, fmt.Errorf("store: decoding stored entry: %w", err)
 	}
 	return e, nil
+}
+
+// DecodeEntry decodes an entry's JSON — the wire encoding, a disk file, an
+// HTTP response body — into a fresh *Entry that shares no memory with wire.
+// It returns exactly what json.Unmarshal(wire, &e) yields, the error text
+// included (a nil entry with it), in about one pass over the bytes:
+// jsonbytes.SkipValue validates the whole document while the loop below walks
+// its top-level members, the "metrics" member's value — almost all of a
+// large entry — is copied out as it stands, and json.Unmarshal decodes the
+// few kilobytes left with that value replaced by null. What the fast path
+// cannot vouch for it hands to json.Unmarshal whole: a document that is
+// invalid or not an object, a top-level key with an escape, a key that
+// case-folds to "metrics" without being it, a second "metrics", or an error
+// from the small decode.
+func DecodeEntry(wire []byte) (*Entry, error) {
+	lo, hi, ok := metricsValue(wire)
+	if !ok || lo < 0 {
+		return unmarshalEntry(wire)
+	}
+	rest := make([]byte, 0, len(wire)-(hi-lo)+len("null"))
+	rest = append(append(append(rest, wire[:lo]...), "null"...), wire[hi:]...)
+	e := new(Entry)
+	if json.Unmarshal(rest, e) != nil {
+		return unmarshalEntry(wire)
+	}
+	e.Metrics = append(json.RawMessage(nil), wire[lo:hi]...)
+	return e, nil
+}
+
+// unmarshalEntry is DecodeEntry's slow path, encoding/json on its own.
+func unmarshalEntry(wire []byte) (*Entry, error) {
+	e := new(Entry)
+	if err := json.Unmarshal(wire, e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// metricsValue validates wire as one JSON object and returns the span of
+// its "metrics" member's value, lo = -1 when it has none. ok is false when
+// wire is not valid JSON or not an object, or when a top-level key leaves
+// the member's identity to encoding/json's rules: an escape, another case
+// of "metrics", or the member twice.
+func metricsValue(wire []byte) (lo, hi int, ok bool) {
+	lo, hi = -1, -1
+	i := jsonbytes.SkipSpace(wire, 0)
+	if i == len(wire) || wire[i] != '{' {
+		return lo, hi, false
+	}
+	if i = jsonbytes.SkipSpace(wire, i+1); i < len(wire) && wire[i] == '}' {
+		return lo, hi, jsonbytes.SkipSpace(wire, i+1) == len(wire)
+	}
+	for {
+		if i == len(wire) || wire[i] != '"' {
+			return lo, hi, false
+		}
+		end, ok := jsonbytes.SkipValue(wire, i, 1)
+		if !ok {
+			return lo, hi, false
+		}
+		key := wire[i+1 : end-1]
+		metrics := string(key) == "metrics"
+		if !metrics && bytes.EqualFold(key, []byte("metrics")) || bytes.IndexByte(key, '\\') >= 0 {
+			return lo, hi, false
+		}
+		if i = jsonbytes.SkipSpace(wire, end); i == len(wire) || wire[i] != ':' {
+			return lo, hi, false
+		}
+		start := jsonbytes.SkipSpace(wire, i+1)
+		if end, ok = jsonbytes.SkipValue(wire, start, 1); !ok {
+			return lo, hi, false
+		}
+		if metrics {
+			if lo >= 0 {
+				return lo, hi, false
+			}
+			lo, hi = start, end
+		}
+		if i = jsonbytes.SkipSpace(wire, end); i < len(wire) && wire[i] == ',' {
+			i = jsonbytes.SkipSpace(wire, i+1)
+			continue
+		}
+		if i == len(wire) || wire[i] != '}' {
+			return lo, hi, false
+		}
+		return lo, hi, jsonbytes.SkipSpace(wire, i+1) == len(wire)
+	}
 }
 
 // GetBytes returns the wire encoding of the cached entry for key — the bytes
@@ -300,15 +390,15 @@ func (s *Store) get(tc *obs.TraceContext, key string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	data = s.faults.CorruptBytes(data)
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	e, err := DecodeEntry(data)
+	if err != nil {
 		s.quarantine(tc, key, "malformed entry JSON")
 		return nil, false, nil
 	}
 	// One marshal both verifies the entry and yields what is promoted: the
 	// canonical encoding of the verified value, never the file's own bytes
 	// (the checksum covers the value, not its whitespace).
-	wire, sum, err := encodeEntry(&e, e.Checksum == "")
+	wire, sum, err := encodeEntry(e, e.Checksum == "")
 	if err != nil || (e.Checksum != "" && e.Checksum != sum) {
 		s.met[checksumFails].Add(1)
 		s.quarantine(tc, key, "checksum mismatch")
