@@ -262,8 +262,8 @@ func decodeWire(wire []byte) (*Entry, error) {
 // case-folds to "metrics" without being it, a second "metrics", or an error
 // from the small decode.
 func DecodeEntry(wire []byte) (*Entry, error) {
-	lo, hi, ok := metricsValue(wire)
-	if !ok || lo < 0 {
+	lo, hi := metricsValue(wire)
+	if lo < 0 {
 		return unmarshalEntry(wire)
 	}
 	rest := make([]byte, 0, len(wire)-(hi-lo)+len("null"))
@@ -286,42 +286,42 @@ func unmarshalEntry(wire []byte) (*Entry, error) {
 }
 
 // metricsValue validates wire as one JSON object and returns the span of
-// its "metrics" member's value, lo = -1 when it has none. ok is false when
-// wire is not valid JSON or not an object, or when a top-level key leaves
-// the member's identity to encoding/json's rules: an escape, another case
-// of "metrics", or the member twice.
-func metricsValue(wire []byte) (lo, hi int, ok bool) {
-	lo, hi = -1, -1
+// its "metrics" member's value, or lo = -1 when the fast path does not
+// apply: wire is not valid JSON or not an object, it has no such member, or
+// a top-level key leaves the member's identity to encoding/json's rules —
+// an escape, another case of "metrics", or the member twice.
+func metricsValue(wire []byte) (lo, hi int) {
 	i := jsonbytes.SkipSpace(wire, 0)
 	if i == len(wire) || wire[i] != '{' {
-		return lo, hi, false
+		return -1, -1
 	}
 	if i = jsonbytes.SkipSpace(wire, i+1); i < len(wire) && wire[i] == '}' {
-		return lo, hi, jsonbytes.SkipSpace(wire, i+1) == len(wire)
+		return -1, -1
 	}
+	lo, hi = -1, -1
 	for {
 		if i == len(wire) || wire[i] != '"' {
-			return lo, hi, false
+			return -1, -1
 		}
 		end, ok := jsonbytes.SkipValue(wire, i, 1)
 		if !ok {
-			return lo, hi, false
+			return -1, -1
 		}
 		key := wire[i+1 : end-1]
 		metrics := string(key) == "metrics"
 		if !metrics && bytes.EqualFold(key, []byte("metrics")) || bytes.IndexByte(key, '\\') >= 0 {
-			return lo, hi, false
+			return -1, -1
 		}
 		if i = jsonbytes.SkipSpace(wire, end); i == len(wire) || wire[i] != ':' {
-			return lo, hi, false
+			return -1, -1
 		}
 		start := jsonbytes.SkipSpace(wire, i+1)
 		if end, ok = jsonbytes.SkipValue(wire, start, 1); !ok {
-			return lo, hi, false
+			return -1, -1
 		}
 		if metrics {
 			if lo >= 0 {
-				return lo, hi, false
+				return -1, -1
 			}
 			lo, hi = start, end
 		}
@@ -329,10 +329,10 @@ func metricsValue(wire []byte) (lo, hi int, ok bool) {
 			i = jsonbytes.SkipSpace(wire, i+1)
 			continue
 		}
-		if i == len(wire) || wire[i] != '}' {
-			return lo, hi, false
+		if i == len(wire) || wire[i] != '}' || jsonbytes.SkipSpace(wire, i+1) != len(wire) {
+			return -1, -1
 		}
-		return lo, hi, jsonbytes.SkipSpace(wire, i+1) == len(wire)
+		return lo, hi
 	}
 }
 
